@@ -26,6 +26,7 @@ from .audit import (
 from .core import IndicatorVariant, delta, divisor_hit, indicator, prefix_count, step
 from .enumerator import (
     EvalMode,
+    PostconditionError,
     TraceRecord,
     TraceRow,
     evaluate,
@@ -57,6 +58,7 @@ __all__ = [
     "IndicatorVariant",
     "NAT_MAX",
     "OpCounts",
+    "PostconditionError",
     "RangeError",
     "Schedule",
     "SieveTable",

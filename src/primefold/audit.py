@@ -21,12 +21,12 @@ against a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .core import IndicatorVariant
-from .enumerator import EvalMode, _fold
-from .nat import DomainError, RangeError, as_nat, checked_mul
+from .core import IndicatorVariant, indicator, step
+from .enumerator import EvalMode
+from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
 from .oracle import SieveTable, build_sieve
 
 NAIVE_LIMIT_MAX = 2000  # cubic-cost guard for counted naive runs
@@ -48,14 +48,7 @@ class OpCounts:
         return self.gcd_calls + self.delta_calls
 
     def to_dict(self) -> dict:
-        return {
-            "gcd_calls": self.gcd_calls,
-            "delta_calls": self.delta_calls,
-            "inner_test_floors": self.inner_test_floors,
-            "indicator_floors": self.indicator_floors,
-            "step_floors": self.step_floors,
-            "additions": self.additions,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -123,8 +116,22 @@ def run_counted(
             f"counted naive runs are limited to U <= {NAIVE_LIMIT_MAX} (cubic cost)"
         )
     counter = OpCounts()
-    value = _fold(x, u_override, mode, variant, counter=counter, stop_at_flip=False)
-    return value, counter
+    total = 0
+    s = 0
+    for i in range(1, u_override + 1):
+        if mode is EvalMode.INCREMENTAL:
+            if i >= 2:
+                s += indicator(i, variant, counter=counter)
+            counter.additions += 1
+        else:
+            s = 0
+            for j in range(2, i + 1):
+                s += indicator(j, variant, counter=counter)
+                counter.additions += 1
+        total += step(s, x, counter=counter)
+        counter.additions += 1
+    counter.additions += 1
+    return checked_add(1, total), counter
 
 
 def audit_range(

@@ -3,7 +3,7 @@
 Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare.
 Human-readable text by default; `--json` emits one deterministic document
 per invocation (sorted keys, no timestamps).  Exit codes: 0 ok, 1 a checked
-claim failed, 2 bad input, 3 overflow/range.
+claim failed, 2 bad input, 3 overflow/range, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -49,26 +49,11 @@ class ReportDocument:
     status: str = "ok"  # ok | violation | error
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "status": self.status,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        raw = json.loads(text)
-        return cls(
-            command=raw["command"],
-            inputs=raw["inputs"],
-            outputs=raw["outputs"],
-            status=raw["status"],
-        )
+        return cls(**json.loads(text))
 
 
 def _nat_arg(text: str) -> int:
@@ -291,6 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (RangeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     print(doc.to_json() if args.json else human)
     return 0 if doc.status == "ok" else 1
 

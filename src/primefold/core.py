@@ -14,8 +14,11 @@ inner sum counts proper divisors and I(j) = 1 iff j is prime.
 
 Two execution paths compute identical values:
 
-* the default path memoizes I(j) per (j, variant) and runs the k-scan as a
-  vectorized integer expression (same gcd/floor per element);
+* uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64),
+  filled by one numpy k-scan kernel: the same gcd/floor expression per
+  element, in int32 below j = 2^31, chunked at _CHUNK k's.  `prefix_count(i)`
+  scans exactly the j <= i the store lacks; `_Store.grow` scans one block of
+  at most about _BLOCK_TESTS divisor tests, which bounds any scan past a flip;
 * when an `OpCounts` tally is passed via `counter`, a plain uncached loop
   runs instead and every gcd call and floor division is tallied at its
   site.  Counted runs never short-circuit; the k-loop always reaches j-1.
@@ -24,9 +27,8 @@ Two execution paths compute identical values:
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
@@ -35,9 +37,8 @@ from .nat import DomainError, as_nat, checked_add
 if TYPE_CHECKING:  # pragma: no cover
     from .audit import OpCounts
 
-# numpy scans use int64; anything larger falls back to the scalar loop
-_VECTOR_MAX = 2**63 - 1
 _CHUNK = 1 << 20
+_BLOCK_TESTS = 1 << 16
 
 
 class IndicatorVariant(enum.Enum):
@@ -65,22 +66,27 @@ def delta(j: int, k: int) -> int:
     return j // k - (j - 1) // k
 
 
-def _scan_hits_vectorized(j: int, variant: IndicatorVariant) -> int:
+# dtype -> rows (k = 2, 3, ... base; shifted k; two outputs), reused by every scan
+_BUFFERS = {dtype: np.empty((4, 0), dtype) for dtype in (np.int32, np.int64)}
+
+
+def _scan_hits(j: int, variant: IndicatorVariant) -> int:
+    """sum_{k=2}^{j-1} of the variant's divisor test, every element evaluated."""
+    dtype = np.int32 if j < 2**31 else np.int64
+    rows = _BUFFERS[dtype]
+    if rows.shape[1] < min(j - 2, _CHUNK):
+        rows = _BUFFERS[dtype] = np.empty((4, min(max(j - 2, 2 * rows.shape[1]), _CHUNK)), dtype)
+        rows[0] = np.arange(2, 2 + rows.shape[1])
     total = 0
     for lo in range(2, j, _CHUNK):
-        ks = np.arange(lo, min(j, lo + _CHUNK), dtype=np.int64)
+        base, ks, a, b = rows[:, : min(j - lo, _CHUNK)]
+        ks = base if lo == 2 else np.add(base, lo - 2, out=ks)
         if variant is IndicatorVariant.GCD:
-            hits = np.gcd(ks, j) // ks
+            np.floor_divide(np.gcd(ks, j, out=a), ks, out=a)
         else:
-            hits = j // ks - (j - 1) // ks
-        total += int(hits.sum())
+            np.subtract(np.floor_divide(j, ks, out=a), np.floor_divide(j - 1, ks, out=b), out=a)
+        total += int(a.sum())
     return total
-
-
-def _scan_hits_loop(j: int, variant: IndicatorVariant) -> int:
-    if variant is IndicatorVariant.GCD:
-        return sum(gcd(k, j) // k for k in range(2, j))
-    return sum(j // k - (j - 1) // k for k in range(2, j))
 
 
 def _scan_hits_counted(j: int, variant: IndicatorVariant, counter: "OpCounts") -> int:
@@ -104,25 +110,44 @@ def _scan_hits_counted(j: int, variant: IndicatorVariant, counter: "OpCounts") -
     return total
 
 
-@lru_cache(maxsize=None)
-def _indicator_value(j: int, variant: IndicatorVariant) -> int:
-    if j > _VECTOR_MAX:  # pragma: no cover - not computable at this scale anyway
-        hits = _scan_hits_loop(j, variant)
-    else:
-        hits = _scan_hits_vectorized(j, variant)
-    return 1 // (1 + hits)
+class _Store:
+    """I(j) and S(j) of one variant for every j <= n; slots 0 and 1 hold 0."""
+
+    def __init__(self, variant: IndicatorVariant) -> None:
+        self.variant = variant
+        self.n = 1
+        self.ind = np.zeros(64, np.int8)
+        self.pre = np.zeros(64, np.int64)
+
+    def fill(self, m: int) -> None:
+        """Scan every j in (n, m] into the store, doubling its capacity as needed."""
+        lo = self.n + 1
+        if m < lo:
+            return
+        if m >= self.ind.size:
+            cap = max(m + 1, 2 * self.ind.size)
+            self.ind, self.pre = (np.pad(a, (0, cap - a.size)) for a in (self.ind, self.pre))
+        for j in range(lo, m + 1):
+            self.ind[j] = 1 // (1 + _scan_hits(j, self.variant))
+        self.pre[lo : m + 1] = self.pre[self.n] + np.cumsum(self.ind[lo : m + 1], dtype=np.int64)
+        self.n = m
+
+    def grow(self) -> None:
+        """Scan the next j's past n: at most _BLOCK_TESTS divisor tests, at least one j."""
+        m, tests = self.n + 1, self.n - 1
+        while tests + m - 1 <= _BLOCK_TESTS:  # j = m + 1 runs m - 1 tests
+            m, tests = m + 1, tests + m - 1
+        self.fill(m)
 
 
-def _indicator_early_exit(j: int, variant: IndicatorVariant) -> int:
-    # stop scanning at the first divisor; value unchanged, never audited
-    for k in range(2, j):
-        if variant is IndicatorVariant.GCD:
-            hit = gcd(k, j) // k
-        else:
-            hit = j // k - (j - 1) // k
-        if hit:
-            return 0
-    return 1
+_STORES: Dict[IndicatorVariant, _Store] = {}
+
+
+def _reset_stores() -> None:
+    _STORES.update((variant, _Store(variant)) for variant in IndicatorVariant)
+
+
+_reset_stores()
 
 
 def indicator(
@@ -130,28 +155,27 @@ def indicator(
     variant: IndicatorVariant = IndicatorVariant.GCD,
     *,
     counter: "OpCounts | None" = None,
-    early_exit: bool = False,
 ) -> int:
     """Prime indicator floor(1 / (1 + sum of divisor hits)); 1 iff j prime.
 
     `counter` routes the evaluation through the uncached scalar loop and
-    tallies every operation; `early_exit` breaks at the first divisor hit
-    and is rejected in counted runs.
+    tallies every operation.
     """
     j = as_nat(j, "j")
     if j < 2:
         raise DomainError(f"indicator requires j >= 2, got {j}")
     if counter is not None:
-        if early_exit:
-            raise DomainError("early_exit is excluded from counted runs")
         hits = _scan_hits_counted(j, variant, counter)
         value = 1 // (1 + hits)
         counter.indicator_floors += 1
         counter.additions += 1
         return value
-    if early_exit:
-        return _indicator_early_exit(j, variant)
-    return _indicator_value(j, variant)
+    store = _STORES[variant]
+    if j == store.n + 1:  # the next j costs the same scan stored or not
+        store.fill(j)
+    if j <= store.n:
+        return int(store.ind[j])
+    return 1 // (1 + _scan_hits(j, variant))
 
 
 def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> int:
@@ -159,7 +183,9 @@ def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> in
     i = as_nat(i, "i")
     if i < 1:
         raise DomainError(f"prefix_count requires i >= 1, got {i}")
-    return sum(_indicator_value(j, variant) for j in range(2, i + 1))
+    store = _STORES[variant]
+    store.fill(i)
+    return int(store.pre[i])
 
 
 def step(s: int, x: int, *, counter: "OpCounts | None" = None) -> int:

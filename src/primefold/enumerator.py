@@ -7,10 +7,10 @@ ones.  `evaluate` exploits the flip: once A reaches 0 the remaining terms
 are identically zero, so the loop stops there with the sum unchanged.
 Audited runs (see `audit`) and `trace` always sweep the full range.
 
-Two evaluation modes differ only in how S(i) is produced:
+Both modes read the core store, extending it a block at a time past a flip:
 
-* INCREMENTAL carries S(i) = S(i-1) + I(i),
-* NAIVE recomputes S(i) from scratch with a fresh j-loop for every i
+* INCREMENTAL reads the carried S(i) and steps whole blocks of i as arrays,
+* NAIVE re-sums I(2..i) from scratch for every i, one numpy sum each
   (the triple-nested reading; cubic in the limit).
 """
 
@@ -20,7 +20,9 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from .core import IndicatorVariant, _indicator_value, indicator
+import numpy as np
+
+from .core import _STORES, IndicatorVariant, step
 from .nat import DomainError, RangeError, as_nat, checked_add
 from .oracle import sieve_for_nth
 from .schedules import Schedule, schedule_limit
@@ -53,57 +55,16 @@ class TraceRecord:
     @property
     def flip_index(self) -> int:
         """First i with step 0, or limit + 1 when every row steps 1."""
-        for row in self.rows:
-            if row.step == 0:
-                return row.i
-        return self.limit + 1
+        return next((row.i for row in self.rows if row.step == 0), self.limit + 1)
 
 
-def _fold(
-    x: int,
-    limit: int,
-    mode: EvalMode,
-    variant: IndicatorVariant,
-    counter=None,
-    stop_at_flip: bool = False,
-) -> int:
-    s_x = checked_add(x, 1)
-    incremental = mode is EvalMode.INCREMENTAL
-    counting = counter is not None
-    total = 0
-    s = 0
-    for i in range(1, limit + 1):
-        if incremental:
-            if i >= 2:
-                s += (
-                    indicator(i, variant, counter=counter)
-                    if counting
-                    else _indicator_value(i, variant)
-                )
-            if counting:
-                counter.additions += 1
-        else:
-            s = 0
-            if counting:
-                for j in range(2, i + 1):
-                    s += indicator(j, variant, counter=counter)
-                    counter.additions += 1
-            else:
-                for j in range(2, i + 1):
-                    s += _indicator_value(j, variant)
-        q = s // s_x
-        a = 1 // (1 + q)
-        if counting:
-            counter.step_floors += 2
-            counter.additions += 2
-        if stop_at_flip and a == 0:
-            break
-        total += a
-        if counting:
-            counter.additions += 1
-    if counting:
-        counter.additions += 1
-    return checked_add(1, total)
+class PostconditionError(RuntimeError):
+    """A computed result failed a check that must hold for every valid input."""
+
+
+def _steps(prefix: np.ndarray, x: int) -> np.ndarray:
+    """A(i, x) = floor(1 / (1 + floor(S(i) / (x+1)))) over an array of S(i)."""
+    return 1 // (1 + prefix // checked_add(x, 1))
 
 
 def evaluate(
@@ -119,7 +80,27 @@ def evaluate(
     """
     x = as_nat(x, "x")
     limit = schedule_limit(schedule, x)
-    return _fold(x, limit, mode, variant, stop_at_flip=True)
+    store = _STORES[variant]
+    total = 0
+    lo = 1
+    while lo <= limit:
+        if lo > store.n:
+            store.grow()
+        hi = min(limit, store.n)
+        if mode is EvalMode.NAIVE:
+            for i in range(lo, hi + 1):
+                a = step(int(store.ind[2 : i + 1].sum()), x)
+                if a == 0:
+                    return checked_add(1, total)
+                total += a
+        else:
+            a = _steps(store.pre[lo : hi + 1], x)
+            flip = int(a.argmin())
+            if a[flip] == 0:
+                return checked_add(1, total + int(a[:flip].sum()))
+            total += int(a.sum())
+        lo = hi + 1
+    return checked_add(1, total)
 
 
 def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
@@ -131,18 +112,14 @@ def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
             f"trace limit {limit} exceeds {TRACE_ROW_LIMIT} rows; "
             "use evaluate() for untraced evaluation"
         )
-    s_x = x + 1
-    rows = []
-    s = 0
-    total = 0
-    for i in range(1, limit + 1):
-        ind = _indicator_value(i, IndicatorVariant.GCD) if i >= 2 else 0
-        s += ind
-        a = 1 // (1 + s // s_x)
-        rows.append(TraceRow(i=i, indicator=ind, prefix=s, step=a))
-        total += a
+    store = _STORES[IndicatorVariant.GCD]
+    store.fill(limit)
+    ind = store.ind[1 : limit + 1]
+    prefix = store.pre[1 : limit + 1]
+    a = _steps(prefix, x)
+    rows = tuple(map(TraceRow, range(1, limit + 1), ind.tolist(), prefix.tolist(), a.tolist()))
     return TraceRecord(
-        x=x, schedule_used=schedule, limit=limit, rows=tuple(rows), result=1 + total
+        x=x, schedule_used=schedule, limit=limit, rows=rows, result=checked_add(1, int(a.sum()))
     )
 
 
@@ -153,7 +130,6 @@ def record_lift(L: int, schedule: Schedule = Schedule.LINLOG) -> int:
         raise DomainError(f"record_lift requires L >= 2, got {L}")
     p_star = evaluate(L, schedule, EvalMode.INCREMENTAL, IndicatorVariant.GCD)
     table = sieve_for_nth(L + 1)
-    assert table.is_prime(p_star) and p_star > L, (
-        f"record-lift postcondition failed at L={L}: got {p_star}"
-    )
+    if not (table.is_prime(p_star) and p_star > L):
+        raise PostconditionError(f"record-lift postcondition failed at L={L}: got {p_star}")
     return p_star

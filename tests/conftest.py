@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from primefold import build_sieve
+from primefold import build_sieve, core
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -16,3 +16,11 @@ def big_sieve():
 @pytest.fixture(scope="session")
 def small_sieve():
     return build_sieve(5_000)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def keep_indicator_stores():
+    # modules that reset the stores hand later modules the scans made before them
+    saved = dict(core._STORES)
+    yield
+    core._STORES.update(saved)

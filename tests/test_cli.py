@@ -159,6 +159,16 @@ def test_violation_status_maps_to_exit_1(monkeypatch, capsys):
     assert json.loads(out)["status"] == "violation"
 
 
+def test_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
+    import primefold.cli as cli
+
+    def interrupted(x, **kw):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "evaluate", interrupted)
+    assert run_cli(capsys, "nth-prime", "5") == (130, "", "interrupted\n")
+
+
 def test_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "validate", "--max", "30", "--json")
     doc = ReportDocument.from_json(out)

@@ -4,6 +4,7 @@ The in-file oracle is plain trial division, independent of both the
 gcd/floor indicator and the sieve module.
 """
 
+import itertools
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from primefold import (
     DomainError,
     IndicatorVariant,
     OpCounts,
+    core,
     delta,
     divisor_hit,
     indicator,
@@ -129,11 +131,10 @@ def test_indicator_variants_agree_and_match_oracle(j):
 
 @given(st.integers(min_value=2, max_value=3_000),
        st.sampled_from([GCD, DELTA]))
-def test_counted_and_early_exit_paths_match_cached_value(j, variant):
+def test_counted_path_matches_cached_value(j, variant):
     cached = indicator(j, variant)
     counter = OpCounts()
     assert indicator(j, variant, counter=counter) == cached
-    assert indicator(j, variant, early_exit=True) == cached
 
 
 def test_counted_indicator_tallies_sites():
@@ -150,9 +151,34 @@ def test_counted_indicator_tallies_sites():
     assert counter.inner_test_floors == 14  # two floors per delta
 
 
-def test_early_exit_is_rejected_in_counted_runs():
-    with pytest.raises(DomainError):
-        indicator(9, GCD, counter=OpCounts(), early_exit=True)
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
+    monkeypatch.setattr(core, "_CHUNK", 7)  # most j's now span several chunks
+    for j in range(2, 300):
+        assert core._scan_hits(j, variant) == sum(1 for k in range(2, j) if j % k == 0)
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_indicator_past_the_store_scans_that_j_alone(variant):
+    core._reset_stores()
+    assert indicator(30_011, variant) == 1  # prime
+    assert indicator(30_012, variant) == 0
+    assert core._STORES[variant].n == 1
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_store_fills_exactly_the_requested_prefix_and_grows_in_blocks(variant):
+    core._reset_stores()
+    store = core._STORES[variant]
+    assert prefix_count(1_000, variant) == 168
+    assert store.n == 1_000
+    assert prefix_count(500, variant) == 95 and store.n == 1_000
+    store.grow()  # one block past the store: about 2^16 tests, at least one j
+    tests = sum(j - 2 for j in range(1_001, store.n + 1))
+    assert store.n > 1_000 and tests <= core._BLOCK_TESTS < tests + store.n - 1
+    expected = [1 if is_prime_trial(j) else 0 for j in range(2, store.n + 1)]
+    assert store.ind[2 : store.n + 1].tolist() == expected
+    assert store.pre[1 : store.n + 1].tolist() == [0, *itertools.accumulate(expected)]
 
 
 # -------------------------------------------------------------- prefix count

@@ -1,5 +1,7 @@
 """Enumerator tests: ground truth, mode/variant/schedule agreement, traces."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,16 @@ from primefold import (
     DomainError,
     EvalMode,
     IndicatorVariant,
+    PostconditionError,
     RangeError,
     Schedule,
     TraceRow,
+    core,
+    enumerator,
     evaluate,
+    prefix_count,
     record_lift,
+    run_counted,
     trace,
 )
 
@@ -38,6 +45,40 @@ def test_all_eight_combinations_agree(x, small_sieve):
 @given(st.integers(min_value=0, max_value=150))
 def test_evaluate_matches_oracle(small_sieve, x):
     assert evaluate(x) == small_sieve.nth_prime(x + 1)
+
+
+# store size before each run, from p = p_(x+1): none, past the flip, short of it
+PREFILL = {"fresh": lambda p: 1, "larger": lambda p: p + 100, "smaller": lambda p: p // 2}
+
+
+@pytest.mark.parametrize("prefill", sorted(PREFILL))
+@settings(max_examples=10)
+@given(x=st.integers(min_value=0, max_value=300))
+def test_every_path_equals_the_sieve(small_sieve, prefill, x):
+    expected = small_sieve.nth_prime(x + 1)
+    runs = [(v, partial(evaluate, x, mode=m, variant=v)) for m in MODES for v in VARIANTS]
+    runs.append((IndicatorVariant.GCD, lambda: trace(x).result))
+    for variant, run in runs:
+        core._reset_stores()
+        prefix_count(PREFILL[prefill](expected), variant)
+        assert run() == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_scans_at_most_one_block_past_the_flip(small_sieve, mode):
+    core._reset_stores()
+    p = small_sieve.nth_prime(101)
+    assert evaluate(100, Schedule.SQUARE, mode) == p  # limit 101^2 = 10201
+    store = core._STORES[IndicatorVariant.GCD]
+    assert p <= store.n
+    assert sum(j - 2 for j in range(p + 1, store.n + 1)) <= core._BLOCK_TESTS
+
+
+@settings(max_examples=10)
+@given(x=st.integers(min_value=0, max_value=300))
+def test_counted_run_equals_the_sieve(small_sieve, x):
+    expected = small_sieve.nth_prime(x + 1)
+    assert run_counted(x, expected)[0] == expected  # reads no store
 
 
 def test_willans_schedule_is_usable_up_to_62(small_sieve):
@@ -99,6 +140,13 @@ def test_trace_row_guard():
 @pytest.mark.parametrize("l,expected", [(2, 5), (10, 31), (100, 547)])
 def test_record_lift_examples(l, expected):
     assert record_lift(l) == expected
+
+
+@pytest.mark.parametrize("bad", [33, 7])  # composite; prime but not > L
+def test_record_lift_raises_when_its_postcondition_fails(monkeypatch, bad):
+    monkeypatch.setattr(enumerator, "evaluate", lambda *args, **kwargs: bad)
+    with pytest.raises(PostconditionError):
+        record_lift(10)
 
 
 def test_record_lift_requires_l_at_least_2():
