@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare.
+Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare,
+verify (every checked claim in one document).
 Human-readable text by default; `--json` emits one deterministic document
 per invocation (sorted keys, no timestamps).  Exit codes: 0 ok, 1 a checked
 claim failed, 2 bad input, 3 overflow/range, 130 interrupted.
@@ -23,10 +24,10 @@ from .analysis import (
 )
 from .audit import audit_range
 from .core import IndicatorVariant
-from .enumerator import EvalMode, evaluate, record_lift, trace
+from .enumerator import EvalMode, PostconditionError, evaluate, record_lift, trace
 from .nat import DomainError, RangeError
-from .oracle import sieve_for_nth
-from .reports import BoundsReport
+from .oracle import SieveTable, sieve_for_nth
+from .reports import BoundsReport, make_report
 from .schedules import (
     Schedule,
     check_lin_growth_bound,
@@ -66,11 +67,10 @@ def _nat_arg(text: str) -> int:
     return value
 
 
-def _status_from_reports(reports: List[BoundsReport]) -> str:
-    return "ok" if all(r.passed for r in reports) else "violation"
-
-
-def _report_lines(reports: List[BoundsReport]) -> List[str]:
+def _reports_document(
+    command: str, inputs: Dict[str, object], reports: List[BoundsReport]
+) -> Tuple[ReportDocument, str]:
+    """One document and one PASS/FAIL line (plus violation rows) per report."""
     lines = []
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
@@ -78,7 +78,31 @@ def _report_lines(reports: List[BoundsReport]) -> List[str]:
         lines.append(f"{tag}  {r.claim_id}  x_range={list(r.x_range)}{slack}")
         for v in r.violations[:10]:
             lines.append(f"      violation at x={v[0]}: lhs={v[1]} rhs={v[2]}")
-    return lines
+    doc = ReportDocument(
+        command=command,
+        inputs=inputs,
+        outputs={"reports": [r.to_dict() for r in reports]},
+        status="ok" if all(r.passed for r in reports) else "violation",
+    )
+    return doc, "\n".join(lines)
+
+
+def _validate_reports(n: int, table: SieveTable) -> List[BoundsReport]:
+    return [
+        validate_schedule(Schedule.SQUARE, n, table),
+        validate_schedule(Schedule.LINLOG, n, table),
+        square_schedule_base_cases(table),
+        check_lin_growth_bound(n, table),
+    ]
+
+
+def _compare_reports(n: int, table: SieveTable) -> List[BoundsReport]:
+    return [
+        check_signature_separation(),
+        check_schedule_divergence(n),
+        check_minimality(n, table),
+        check_forward_count_axiom(min(n, 200), table),
+    ]
 
 
 def _cmd_nth_prime(args) -> Tuple[ReportDocument, str]:
@@ -145,22 +169,18 @@ def _cmd_trace(args) -> Tuple[ReportDocument, str]:
 
 
 def _cmd_record_lift(args) -> Tuple[ReportDocument, str]:
+    # record_lift raises PostconditionError unless P* is a prime > L
     p_star = record_lift(args.l, schedule=_SCHEDULES[args.schedule])
-    table = sieve_for_nth(args.l + 1)
     doc = ReportDocument(
         command="record-lift",
         inputs={"l": args.l, "schedule": args.schedule},
-        outputs={
-            "p_star": p_star,
-            "is_prime": table.is_prime(p_star),
-            "exceeds_input": p_star > args.l,
-        },
+        outputs={"p_star": p_star, "is_prime": True, "exceeds_input": True},
     )
     return doc, f"P* = {p_star} (prime, > {args.l})"
 
 
 def _cmd_audit(args) -> Tuple[ReportDocument, str]:
-    rows = audit_range(args.u_min, args.u_max)
+    rows = audit_range(args.u_min, args.u_max, variant=_VARIANTS[args.variant])
     all_match = all(row.match for row in rows)
     doc = ReportDocument(
         command="audit",
@@ -168,47 +188,64 @@ def _cmd_audit(args) -> Tuple[ReportDocument, str]:
         outputs={"rows": [row.to_dict() for row in rows]},
         status="ok" if all_match else "violation",
     )
-    lines = ["    U  mode         divisor_tests  predicted  step_floors  match"]
+    lines = ["    U  mode         divisor_tests  predicted  step_floors  additions  match"]
     for row in rows:
         lines.append(
             f"{row.u:5d}  {row.mode.value:<11s}  {row.measured.divisor_tests:13d}"
             f"  {row.predicted_gcd:9d}  {row.measured.step_floors:11d}"
-            f"  {'yes' if row.match else 'NO'}"
+            f"  {row.measured.additions:9d}  {'yes' if row.match else 'NO'}"
         )
     return doc, "\n".join(lines)
 
 
 def _cmd_validate(args) -> Tuple[ReportDocument, str]:
-    table = sieve_for_nth(args.max + 1)
-    reports = [
-        validate_schedule(Schedule.SQUARE, args.max, table),
-        validate_schedule(Schedule.LINLOG, args.max, table),
-        square_schedule_base_cases(table),
-        check_lin_growth_bound(args.max, table),
-    ]
-    doc = ReportDocument(
-        command="validate",
-        inputs={"max": args.max},
-        outputs={"reports": [r.to_dict() for r in reports]},
-        status=_status_from_reports(reports),
-    )
-    return doc, "\n".join(_report_lines(reports))
+    reports = _validate_reports(args.max, sieve_for_nth(args.max + 1))
+    return _reports_document("validate", {"max": args.max}, reports)
 
 
 def _cmd_compare(args) -> Tuple[ReportDocument, str]:
+    reports = _compare_reports(args.max, sieve_for_nth(args.max + 1))
+    return _reports_document("compare", {"max": args.max}, reports)
+
+
+def _cmd_verify(args) -> Tuple[ReportDocument, str]:
+    n, sweep = args.max, args.sweep_max
+    table = sieve_for_nth(max(n, sweep) + 1)
+    # the cheap claims run first, so that a bad --max is rejected before the long sweeps
     reports = [
-        check_signature_separation(),
-        check_schedule_divergence(args.max),
-        check_minimality(args.max),
-        check_forward_count_axiom(min(args.max, 200)),
+        *_validate_reports(n, table),
+        validate_schedule(Schedule.WILLANS, min(n, 200), table),
+        *_compare_reports(n, table),
     ]
-    doc = ReportDocument(
-        command="compare",
-        inputs={"max": args.max},
-        outputs={"reports": [r.to_dict() for r in reports]},
-        status=_status_from_reports(reports),
-    )
-    return doc, "\n".join(_report_lines(reports))
+    audit_rows = audit_range(2, args.audit_max)
+    mismatches = [
+        (x, float(value), float(expected))
+        for x in range(sweep + 1)
+        for schedule in (Schedule.SQUARE, Schedule.LINLOG)
+        for variant in IndicatorVariant
+        if (value := evaluate(x, schedule=schedule, variant=variant))
+        != (expected := table.nth_prime(x + 1))
+    ]
+    lifts = [(l, record_lift(l)) for l in range(2, sweep + 1)]
+    reports += [
+        make_report("enumerator-matches-sieve", (0, sweep), mismatches),
+        make_report(
+            "record-lift-exceeds-input",
+            (2, sweep),
+            [(l, float(p), float(l)) for l, p in lifts if not (table.is_prime(p) and p > l)],
+        ),
+        make_report(
+            "audit-closed-forms",
+            (2, args.audit_max),
+            [
+                (row.u, float(row.measured.divisor_tests), float(row.predicted_gcd))
+                for row in audit_rows
+                if not row.match
+            ],
+        ),
+    ]
+    inputs = {"max": n, "sweep_max": sweep, "audit_max": args.audit_max}
+    return _reports_document("verify", inputs, reports)
 
 
 def _add_schedule_flag(sub) -> None:
@@ -247,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="measured operation counts vs. closed forms")
     p.add_argument("--u-min", type=_nat_arg, default=2)
     p.add_argument("--u-max", type=_nat_arg, default=50)
+    p.add_argument("--variant", choices=sorted(_VARIANTS), default="gcd")
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("validate", help="schedule inequality sweeps")
@@ -256,6 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="signature, divergence, minimality, axiom checks")
     p.add_argument("--max", type=_nat_arg, default=100)
     p.set_defaults(handler=_cmd_compare)
+
+    p = sub.add_parser("verify", help="every checked claim of the paper in one document")
+    p.add_argument("--max", type=_nat_arg, default=2000)
+    p.add_argument("--sweep-max", type=_nat_arg, default=200)
+    p.add_argument("--audit-max", type=_nat_arg, default=200)
+    p.set_defaults(handler=_cmd_verify)
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", help="emit a JSON document")
@@ -276,6 +320,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (RangeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except PostconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -7,9 +7,10 @@ ones.  `evaluate` exploits the flip: once A reaches 0 the remaining terms
 are identically zero, so the loop stops there with the sum unchanged.
 Audited runs (see `audit`) and `trace` always sweep the full range.
 
-Both modes read the core store, extending it a block at a time past a flip:
+Both modes read the core store, extending it a block at a time past a flip,
+and step whole blocks of i as arrays.  They differ only in the block's S(i):
 
-* INCREMENTAL reads the carried S(i) and steps whole blocks of i as arrays,
+* INCREMENTAL reads the carried S(i),
 * NAIVE re-sums I(2..i) from scratch for every i, one numpy sum each
   (the triple-nested reading; cubic in the limit).
 """
@@ -22,7 +23,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _STORES, IndicatorVariant, step
+from .core import _STORES, IndicatorVariant
 from .nat import DomainError, RangeError, as_nat, checked_add
 from .oracle import sieve_for_nth
 from .schedules import Schedule, schedule_limit
@@ -88,17 +89,14 @@ def evaluate(
             store.grow()
         hi = min(limit, store.n)
         if mode is EvalMode.NAIVE:
-            for i in range(lo, hi + 1):
-                a = step(int(store.ind[2 : i + 1].sum()), x)
-                if a == 0:
-                    return checked_add(1, total)
-                total += a
+            prefix = np.array([store.ind[2 : i + 1].sum() for i in range(lo, hi + 1)])
         else:
-            a = _steps(store.pre[lo : hi + 1], x)
-            flip = int(a.argmin())
-            if a[flip] == 0:
-                return checked_add(1, total + int(a[:flip].sum()))
-            total += int(a.sum())
+            prefix = store.pre[lo : hi + 1]
+        a = _steps(prefix, x)
+        flip = int(a.argmin())
+        if a[flip] == 0:
+            return checked_add(1, total + int(a[:flip].sum()))
+        total += int(a.sum())
         lo = hi + 1
     return checked_add(1, total)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from primefold import sieve_for_nth
 from primefold.cli import ReportDocument, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -114,6 +115,33 @@ def test_record_lift_rejects_small_l(capsys):
     assert run_cli(capsys, "record-lift", "1")[0] == 2
 
 
+def test_record_lift_sieves_once(monkeypatch, capsys):
+    import primefold.cli as cli
+    import primefold.enumerator as enumerator
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return sieve_for_nth(n)
+
+    monkeypatch.setattr(cli, "sieve_for_nth", counting)
+    monkeypatch.setattr(enumerator, "sieve_for_nth", counting)
+    code, out, _ = run_cli(capsys, "record-lift", "10", "--json")
+    assert code == 0
+    assert json.loads(out)["outputs"] == {"exceeds_input": True, "is_prime": True, "p_star": 31}
+    assert calls == [11]
+
+
+def test_record_lift_postcondition_failure_exits_1(monkeypatch, capsys):
+    import primefold.enumerator as enumerator
+
+    monkeypatch.setattr(enumerator, "evaluate", lambda *a, **kw: 33)  # 3 * 11
+    code, out, err = run_cli(capsys, "record-lift", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: record-lift postcondition failed at L=10")
+
+
 def test_audit_all_match(capsys):
     code, out, _ = run_cli(capsys, "audit", "--u-min", "2", "--u-max", "20", "--json")
     doc = json.loads(out)
@@ -121,6 +149,26 @@ def test_audit_all_match(capsys):
     assert doc["status"] == "ok"
     assert len(doc["outputs"]["rows"]) == 38
     assert all(row["match"] for row in doc["outputs"]["rows"])
+
+
+def test_audit_delta_variant(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--u-max", "12", "--variant", "delta", "--json")
+    rows = json.loads(out)["outputs"]["rows"]
+    assert code == 0
+    assert len(rows) == 22
+    assert all(row["variant"] == "delta" and row["match"] for row in rows)
+    assert all(row["measured"]["gcd_calls"] == 0 for row in rows)
+    assert rows[-1]["measured"]["delta_calls"] == 55
+
+
+def test_audit_human_shows_additions(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--u-max", "3")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0].split() == [
+        "U", "mode", "divisor_tests", "predicted", "step_floors", "additions", "match",
+    ]
+    assert lines[1].split() == ["2", "naive", "0", "0", "4", "9", "yes"]
 
 
 def test_audit_bad_range_exits_2(capsys):
@@ -147,6 +195,66 @@ def test_compare(capsys):
         "schedule-minimality-chain",
         "forward-count-axiom",
     ]
+
+
+VERIFY_CLAIMS = [
+    "schedule-sq-covers-next-prime",
+    "schedule-lin-covers-next-prime",
+    "square-schedule-base-cases",
+    "lin-schedule-real-bound",
+    "schedule-willans-covers-next-prime",
+    "operator-signature-separation",
+    "schedule-log-ratio-divergence",
+    "schedule-minimality-chain",
+    "forward-count-axiom",
+    "enumerator-matches-sieve",
+    "record-lift-exceeds-input",
+    "audit-closed-forms",
+]
+VERIFY_SMALL = ("verify", "--max", "60", "--sweep-max", "20", "--audit-max", "12", "--json")
+
+
+def test_verify_passes_every_claim_in_order(capsys):
+    code, out, _ = run_cli(capsys, *VERIFY_SMALL)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["status"] == "ok"
+    assert doc["inputs"] == {"max": 60, "sweep_max": 20, "audit_max": 12}
+    reports = doc["outputs"]["reports"]
+    assert [r["claim_id"] for r in reports] == VERIFY_CLAIMS
+    assert all(r["passed"] for r in reports)
+    assert reports[9]["x_range"] == [0, 20]
+    assert reports[11]["x_range"] == [2, 12]
+
+
+def test_verify_human_prints_one_pass_line_per_claim(capsys):
+    code, out, _ = run_cli(capsys, *VERIFY_SMALL[:-1])
+    assert code == 0
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["PASS", claim] for claim in VERIFY_CLAIMS
+    ]
+
+
+def test_verify_violation_exits_1(monkeypatch, capsys):
+    import primefold.cli as cli
+
+    monkeypatch.setattr(cli, "evaluate", lambda x, **kw: 4)
+    code, out, _ = run_cli(capsys, *VERIFY_SMALL)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["status"] == "violation"
+    failed = [r["claim_id"] for r in doc["outputs"]["reports"] if not r["passed"]]
+    assert failed == ["enumerator-matches-sieve"]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max", "3"),
+    ("--max", "-1"),
+    ("--sweep-max", "x"),
+    ("--audit-max", "1"),
+])
+def test_verify_bad_input_exits_2(capsys, flags):
+    assert run_cli(capsys, "verify", *flags)[0] == 2
 
 
 def test_violation_status_maps_to_exit_1(monkeypatch, capsys):
