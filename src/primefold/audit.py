@@ -1,9 +1,9 @@
 """Instrumented re-execution with exact operation-count checks.
 
-Counted runs re-evaluate the folded expression with every primitive tallied
-at its site and no shortcut of any kind: the inner k-loop always reaches
-j-1 and the outer i-loop always reaches the forced limit U.  The measured
-divisor-test counts must then match the closed forms
+Counted runs re-evaluate the folded expression with no shortcut and no
+store: the kernel that fills the store evaluates every divisor test and
+tallies each chunk it evaluates.  Every k-range reaches j-1 and the i-loop
+reaches the forced limit U.  Measured divisor tests must match the closed forms
 
     naive (triple-nested):   (U-2)(U-1)U / 6
     incremental (carry S):   (U-2)(U-1) / 2
@@ -13,8 +13,8 @@ and every audited run performs exactly 2U step floors.
 Tally conventions: one gcd call and one floor per gcd divisor test; one
 delta evaluation and two floors per gcd-free divisor test; the additions
 tally covers the fold's own + sites (indicator's 1+sum, prefix update,
-step's x+1 and 1+q, outer accumulation, final 1+sum) while the k-loop's
-internal accumulation belongs to the divisor-test tally.  The per-indicator
+step's x+1 and 1+q, outer accumulation, final 1+sum) while the sum over
+k inside a divisor scan belongs to the divisor-test tally.  The per-indicator
 enclosing floor is recorded separately (indicator_floors) and not asserted
 against a closed form.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .core import IndicatorVariant, indicator, step
+from .core import IndicatorVariant, _indicators, step
 from .enumerator import EvalMode
 from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
 from .oracle import SieveTable, build_sieve
@@ -70,14 +70,7 @@ class AuditRow:
         object.__setattr__(self, "match", ok)
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "mode": self.mode.value,
-            "variant": self.variant.value,
-            "measured": self.measured.to_dict(),
-            "predicted_gcd": self.predicted_gcd,
-            "match": self.match,
-        }
+        return {**asdict(self), "mode": self.mode.value, "variant": self.variant.value}
 
 
 def closed_form_naive(u: int) -> int:
@@ -116,18 +109,16 @@ def run_counted(
             f"counted naive runs are limited to U <= {NAIVE_LIMIT_MAX} (cubic cost)"
         )
     counter = OpCounts()
+    if mode is EvalMode.INCREMENTAL:  # one scan of I(2..U); S carries over, one update per i
+        prefixes = [0, *_indicators(2, u_override, variant, counter).cumsum().tolist()]
+        counter.additions += u_override
+    else:  # every i re-scans I(2..i) and re-sums S(i) from scratch
+        prefixes = []
+        for i in range(1, u_override + 1):
+            prefixes.append(int(_indicators(2, i, variant, counter).sum()))
+            counter.additions += i - 1
     total = 0
-    s = 0
-    for i in range(1, u_override + 1):
-        if mode is EvalMode.INCREMENTAL:
-            if i >= 2:
-                s += indicator(i, variant, counter=counter)
-            counter.additions += 1
-        else:
-            s = 0
-            for j in range(2, i + 1):
-                s += indicator(j, variant, counter=counter)
-                counter.additions += 1
+    for s in prefixes:
         total += step(s, x, counter=counter)
         counter.additions += 1
     counter.additions += 1
@@ -159,12 +150,6 @@ def audit_range(
         x = table.pi(u)
         for mode in modes:
             _, measured = run_counted(x, u, mode, variant)
-            predicted = (
-                closed_form_naive(u)
-                if mode is EvalMode.NAIVE
-                else closed_form_incremental(u)
-            )
-            rows.append(
-                AuditRow(u=u, mode=mode, variant=variant, measured=measured, predicted_gcd=predicted)
-            )
+            form = closed_form_naive if mode is EvalMode.NAIVE else closed_form_incremental
+            rows.append(AuditRow(u, mode, variant, measured, predicted_gcd=form(u)))
     return tuple(rows)

@@ -4,19 +4,21 @@ Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare,
 verify (every checked claim in one document).
 Human-readable text by default; `--json` emits one deterministic document
 per invocation (sorted keys, no timestamps).  Exit codes: 0 ok, 1 a checked
-claim failed, 2 bad input, 3 overflow/range, 130 interrupted.
+claim failed, 2 bad input, 3 overflow/range, 130 interrupted, 141 broken pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .analysis import (
+    FORWARD_AXIOM_X_MAX,
     check_forward_count_axiom,
     check_minimality,
     check_schedule_divergence,
@@ -101,7 +103,7 @@ def _compare_reports(n: int, table: SieveTable) -> List[BoundsReport]:
         check_signature_separation(),
         check_schedule_divergence(n),
         check_minimality(n, table),
-        check_forward_count_axiom(min(n, 200), table),
+        check_forward_count_axiom(min(n, FORWARD_AXIOM_X_MAX), table),
     ]
 
 
@@ -326,7 +328,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    print(doc.to_json() if args.json else human)
+    try:
+        print(doc.to_json() if args.json else human, flush=True)
+    except BrokenPipeError:  # stdout's fd now writes to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     return 0 if doc.status == "ok" else 1
 
 

@@ -12,16 +12,15 @@ and gcd, evaluated exactly as written (no boolean shortcuts for the floors):
 Both divisor tests equal 1 exactly when k divides j, so the indicator's
 inner sum counts proper divisors and I(j) = 1 iff j is prime.
 
-Two execution paths compute identical values:
-
-* uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64),
-  filled by one numpy k-scan kernel: the same gcd/floor expression per
-  element, in int32 below j = 2^31, chunked at _CHUNK k's.  `prefix_count(i)`
-  scans exactly the j <= i the store lacks; `_Store.grow` scans one block of
-  at most about _BLOCK_TESTS divisor tests, which bounds any scan past a flip;
-* when an `OpCounts` tally is passed via `counter`, a plain uncached loop
-  runs instead and every gcd call and floor division is tallied at its
-  site.  Counted runs never short-circuit; the k-loop always reaches j-1.
+One numpy k-scan kernel, `_scan_hits`, evaluates every divisor test, in
+int32 unless the range reaches j = 2^31: j's up to _SMALL_J as one j-major
+pass over their (k, j) pairs, larger j's along the shared k = 2, 3, ... row
+in chunks of _CHUNK k's.  Given an `OpCounts` via `counter`, it reads no
+store and tallies every chunk it evaluates; counted runs never short-circuit.
+Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
+the kernel fills: `prefix_count(i)` scans exactly the j <= i the store lacks,
+and `_Store.grow` scans one block of at most about _BLOCK_TESTS divisor
+tests, which bounds any scan past a flip.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _CHUNK = 1 << 20
 _BLOCK_TESTS = 1 << 16
+_SMALL_J = 256  # j's up to here scan as one pass over their (k, j) pairs
 
 
 class IndicatorVariant(enum.Enum):
@@ -68,46 +68,62 @@ def delta(j: int, k: int) -> int:
 
 # dtype -> rows (k = 2, 3, ... base; shifted k; two outputs), reused by every scan
 _BUFFERS = {dtype: np.empty((4, 0), dtype) for dtype in (np.int32, np.int64)}
+_PAIRS = None  # rows k, j and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
 
 
-def _scan_hits(j: int, variant: IndicatorVariant) -> int:
-    """sum_{k=2}^{j-1} of the variant's divisor test, every element evaluated."""
-    dtype = np.int32 if j < 2**31 else np.int64
-    rows = _BUFFERS[dtype]
-    if rows.shape[1] < min(j - 2, _CHUNK):
-        rows = _BUFFERS[dtype] = np.empty((4, min(max(j - 2, 2 * rows.shape[1]), _CHUNK)), dtype)
-        rows[0] = np.arange(2, 2 + rows.shape[1])
-    total = 0
-    for lo in range(2, j, _CHUNK):
-        base, ks, a, b = rows[:, : min(j - lo, _CHUNK)]
-        ks = base if lo == 2 else np.add(base, lo - 2, out=ks)
-        if variant is IndicatorVariant.GCD:
-            np.floor_divide(np.gcd(ks, j, out=a), ks, out=a)
-        else:
-            np.subtract(np.floor_divide(j, ks, out=a), np.floor_divide(j - 1, ks, out=b), out=a)
-        total += int(a.sum())
-    return total
+def _offset(j):
+    """Index of j's first pair in _PAIRS: sum_{i=3}^{j-1} (i - 2)."""
+    return (j - 3) * (j - 2) // 2
 
 
-def _scan_hits_counted(j: int, variant: IndicatorVariant, counter: "OpCounts") -> int:
-    # accumulator updates here belong to the divisor-test tally, not the
-    # additions tally (see audit.OpCounts)
-    total = 0
-    calls = 0
-    if variant is IndicatorVariant.GCD:
-        for k in range(2, j):
-            total += gcd(k, j) // k
-            calls += 1
-        counter.gcd_calls += calls
-        counter.inner_test_floors += calls
+def _divisor_tests(ks, js, a, b, variant: IndicatorVariant, counter: "OpCounts | None"):
+    """The variant's divisor test of every (k, j) element into `a` (`b` is scratch)."""
+    gcd_test = variant is IndicatorVariant.GCD
+    if gcd_test:
+        np.floor_divide(np.gcd(ks, js, out=a), ks, out=a)
     else:
-        jm1 = j - 1
-        for k in range(2, j):
-            total += j // k - jm1 // k
-            calls += 1
-        counter.delta_calls += calls
-        counter.inner_test_floors += 2 * calls
-    return total
+        np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js - 1, ks, out=b), out=a)
+    if counter is not None:  # the sum over k belongs to this tally too (see audit.OpCounts)
+        counter.gcd_calls += a.size if gcd_test else 0
+        counter.delta_calls += 0 if gcd_test else a.size
+        counter.inner_test_floors += a.size if gcd_test else 2 * a.size
+    return a
+
+
+def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
+    """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
+    global _PAIRS
+    hits = np.zeros(max(hi - lo + 1, 0), np.int64)
+    first, last = max(lo, 3), min(hi, _SMALL_J)  # j = 2 has no k
+    if first <= last:
+        if _PAIRS is None or _PAIRS.shape[1] < _offset(last + 1):
+            js = np.arange(3, _SMALL_J + 1, dtype=np.int32)
+            ks = np.concatenate([np.arange(2, j, dtype=np.int32) for j in js])
+            _PAIRS = np.stack([ks, np.repeat(js, js - 2), ks, ks])
+        ks, js, a, b = _PAIRS[:, _offset(first) : _offset(last + 1)]
+        tests = _divisor_tests(ks, js, a, b, variant, counter)
+        starts = _offset(np.arange(first, last + 1)) - _offset(first)
+        hits[first - lo : last - lo + 1] = np.add.reduceat(tests, starts)
+    dtype = np.int32 if hi < 2**31 else np.int64
+    rows = _BUFFERS[dtype]
+    if rows.shape[1] < min(hi - 2, _CHUNK):
+        rows = _BUFFERS[dtype] = np.empty((4, min(max(hi - 2, 2 * rows.shape[1]), _CHUNK)), dtype)
+        rows[0] = np.arange(2, 2 + rows.shape[1])
+    for j in range(max(lo, _SMALL_J + 1), hi + 1):
+        for k0 in range(2, j, _CHUNK):
+            base, ks, a, b = rows[:, : min(j - k0, _CHUNK)]
+            ks = base if k0 == 2 else np.add(base, k0 - 2, out=ks)
+            hits[j - lo] += int(_divisor_tests(ks, j, a, b, variant, counter).sum())
+    return hits
+
+
+def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
+    """I(j) for every j in [lo, hi]; `counter` also tallies each floor and 1 + sum."""
+    hits = _scan_hits(lo, hi, variant, counter)
+    if counter is not None:
+        counter.indicator_floors += hits.size
+        counter.additions += hits.size
+    return 1 // (1 + hits)
 
 
 class _Store:
@@ -127,8 +143,7 @@ class _Store:
         if m >= self.ind.size:
             cap = max(m + 1, 2 * self.ind.size)
             self.ind, self.pre = (np.pad(a, (0, cap - a.size)) for a in (self.ind, self.pre))
-        for j in range(lo, m + 1):
-            self.ind[j] = 1 // (1 + _scan_hits(j, self.variant))
+        self.ind[lo : m + 1] = _indicators(lo, m, self.variant)
         self.pre[lo : m + 1] = self.pre[self.n] + np.cumsum(self.ind[lo : m + 1], dtype=np.int64)
         self.n = m
 
@@ -158,24 +173,17 @@ def indicator(
 ) -> int:
     """Prime indicator floor(1 / (1 + sum of divisor hits)); 1 iff j prime.
 
-    `counter` routes the evaluation through the uncached scalar loop and
-    tallies every operation.
+    `counter` scans j alone, past the store, and tallies every operation.
     """
     j = as_nat(j, "j")
     if j < 2:
         raise DomainError(f"indicator requires j >= 2, got {j}")
-    if counter is not None:
-        hits = _scan_hits_counted(j, variant, counter)
-        value = 1 // (1 + hits)
-        counter.indicator_floors += 1
-        counter.additions += 1
-        return value
     store = _STORES[variant]
-    if j == store.n + 1:  # the next j costs the same scan stored or not
+    if counter is None and j == store.n + 1:  # the next j costs the same scan stored or not
         store.fill(j)
-    if j <= store.n:
+    if counter is None and j <= store.n:
         return int(store.ind[j])
-    return 1 // (1 + _scan_hits(j, variant))
+    return int(_indicators(j, j, variant, counter)[0])
 
 
 def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> int:

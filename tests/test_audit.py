@@ -14,10 +14,13 @@ from primefold import (
     DomainError,
     EvalMode,
     IndicatorVariant,
+    OpCounts,
     RangeError,
     audit_range,
     closed_form_incremental,
     closed_form_naive,
+    core,
+    indicator,
     run_counted,
 )
 
@@ -135,6 +138,31 @@ def test_additions_ratio_bounded_for_incremental():
         _, at_u = run_counted(2 * u, u, EvalMode.INCREMENTAL, GCD)
         _, at_2u = run_counted(2 * u, 2 * u, EvalMode.INCREMENTAL, GCD)
         assert at_2u.additions / at_u.additions <= 3.0
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+@pytest.mark.parametrize("mode", [EvalMode.NAIVE, EvalMode.INCREMENTAL])
+def test_counted_runs_hold_across_both_scan_layouts(monkeypatch, small_sieve, variant, mode):
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    monkeypatch.setattr(core, "_SMALL_J", 12)  # U = 14, 32, 104 scan j's past the pairs
+    for x in (0, 4, 9, 25):
+        expected = small_sieve.nth_prime(x + 1)
+        u = expected + 3
+        value, counts = run_counted(x, u, mode, variant)
+        predicted = closed_form_naive(u) if mode is EvalMode.NAIVE else closed_form_incremental(u)
+        assert value == expected
+        assert counts.divisor_tests == predicted
+        assert counts.inner_test_floors == (1 if variant is GCD else 2) * predicted
+        assert counts.step_floors == 2 * u
+
+
+def test_counted_runs_never_read_or_fill_the_store():
+    core._reset_stores()
+    for variant in (GCD, DELTA):
+        for mode in (EvalMode.NAIVE, EvalMode.INCREMENTAL):
+            run_counted(5, 300, mode, variant)  # j's on both sides of _SMALL_J
+        assert indicator(2, variant, counter=OpCounts()) == 1  # the store's next j
+        assert core._STORES[variant].n == 1
 
 
 def test_run_counted_guards():

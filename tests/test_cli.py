@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON determinism and round-trip."""
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,6 +277,18 @@ def test_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "evaluate", interrupted)
     assert run_cli(capsys, "nth-prime", "5") == (130, "", "interrupted\n")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now raises BrokenPipeError
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(["table", "--max", "3"])
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
+    assert code == 141
+    assert capsys.readouterr() == ("", "")
 
 
 def test_json_round_trip(capsys):

@@ -153,9 +153,11 @@ def test_counted_indicator_tallies_sites():
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
-    monkeypatch.setattr(core, "_CHUNK", 7)  # most j's now span several chunks
-    for j in range(2, 300):
-        assert core._scan_hits(j, variant) == sum(1 for k in range(2, j) if j % k == 0)
+    monkeypatch.setattr(core, "_CHUNK", 7)  # most j's past the pairs now span several chunks
+    monkeypatch.setattr(core, "_SMALL_J", 40)  # j <= 40 run as one pass over their (k, j) pairs
+    expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 300)]
+    for lo in (2, 3, 17, 40, 41):
+        assert core._scan_hits(lo, 299, variant).tolist() == expected[lo - 2 :]
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
