@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from .enumerator import trace
 from .nat import DomainError, RangeError, as_nat
 from .oracle import SieveTable, sieve_for_nth
-from .reports import BoundsReport, make_report
+from .reports import BoundsReport
 from .schedules import Schedule, u_lin
 
 FORWARD_AXIOM_X_MAX = 200  # trace-backed check; keep the row volume bounded
@@ -76,7 +76,7 @@ def check_signature_separation() -> BoundsReport:
     for c, (a_bit, w_bit) in enumerate(zip(folded.coords, willans.coords)):
         if a_bit and w_bit:
             violations.append((c, float(a_bit), float(w_bit)))
-    return make_report("operator-signature-separation", (0, 2), violations)
+    return BoundsReport("operator-signature-separation", (0, 2), tuple(violations))
 
 
 def check_schedule_divergence(x_max: int) -> BoundsReport:
@@ -102,7 +102,7 @@ def check_schedule_divergence(x_max: int) -> BoundsReport:
             min_gap = gap
     if x_max >= 60 and not r[x_max] > r[10] + 10.0:
         violations.append((x_max, r[x_max], r[10] + 10.0))
-    return make_report("schedule-log-ratio-divergence", (1, x_max), violations, min_gap)
+    return BoundsReport("schedule-log-ratio-divergence", (1, x_max), tuple(violations), min_gap)
 
 
 def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsReport:
@@ -131,7 +131,7 @@ def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsRe
             min_rel = rel
         if u_lin(x) < p - 1:
             violations.append((x, float(u_lin(x)), float(p - 1)))
-    return make_report("schedule-minimality-chain", (5, x_max), violations, min_rel)
+    return BoundsReport("schedule-minimality-chain", (5, x_max), tuple(violations), min_rel)
 
 
 def check_forward_count_axiom(
@@ -162,4 +162,4 @@ def check_forward_count_axiom(
         expected = [1 if row.i < p else 0 for row in record.rows]
         if steps != expected or record.flip_index != p:
             violations.append((x, float(record.flip_index), float(p)))
-    return make_report("forward-count-axiom", (0, x_max), violations)
+    return BoundsReport("forward-count-axiom", (0, x_max), tuple(violations))

@@ -8,7 +8,8 @@ reaches the forced limit U.  Measured divisor tests must match the closed forms
     naive (triple-nested):   (U-2)(U-1)U / 6
     incremental (carry S):   (U-2)(U-1) / 2
 
-and every audited run performs exactly 2U step floors.
+and every audited run performs exactly 2U step floors.  `core.admit` checks
+their sum over a run's rows against the budget before the first scan.
 
 Tally conventions: one gcd call and one floor per gcd divisor test; one
 delta evaluation and two floors per gcd-free divisor test; the additions
@@ -22,14 +23,14 @@ against a closed form.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .core import IndicatorVariant, _indicators, step
+from .core import IndicatorVariant, _indicators, admit, step
+from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
-from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
+from .nat import DomainError, as_nat, checked_add
 from .oracle import SieveTable, build_sieve
-
-NAIVE_LIMIT_MAX = 2000  # cubic-cost guard for counted naive runs
 
 
 @dataclass
@@ -73,20 +74,14 @@ class AuditRow:
         return {**asdict(self), "mode": self.mode.value, "variant": self.variant.value}
 
 
-def closed_form_naive(u: int) -> int:
-    """(U-2)(U-1)U / 6, exactly (three consecutive integers divide by 6)."""
-    u = as_nat(u, "u")
-    if u < 2:
-        raise DomainError(f"closed_form_naive requires U >= 2, got {u}")
-    return checked_mul(checked_mul(u - 2, u - 1), u) // 6
+def summed_tests(u_min: int, u_max: int, mode: EvalMode) -> int:
+    """Divisor tests of the rows U = u_min..u_max of one mode, exactly.
 
-
-def closed_form_incremental(u: int) -> int:
-    """(U-2)(U-1) / 2, exactly."""
-    u = as_nat(u, "u")
-    if u < 2:
-        raise DomainError(f"closed_form_incremental requires U >= 2, got {u}")
-    return checked_mul(u - 2, u - 1) // 2
+    Row U runs C(U-1, 2) tests incremental and C(U, 3) naive, so the rows
+    U = 2..b sum to C(b, 3) and C(b+1, 4) (the hockey-stick identity).
+    """
+    k = 3 if mode is EvalMode.INCREMENTAL else 4
+    return comb(u_max + k - 3, k) - comb(u_min + k - 4, k)
 
 
 def run_counted(
@@ -104,10 +99,7 @@ def run_counted(
     u_override = as_nat(u_override, "u_override")
     if u_override < 1:
         raise DomainError(f"run_counted requires U >= 1, got {u_override}")
-    if mode is EvalMode.NAIVE and u_override > NAIVE_LIMIT_MAX:
-        raise RangeError(
-            f"counted naive runs are limited to U <= {NAIVE_LIMIT_MAX} (cubic cost)"
-        )
+    admit(summed_tests(u_override, u_override, mode), f"a {mode.value} run at U = {u_override}")
     counter = OpCounts()
     if mode is EvalMode.INCREMENTAL:  # one scan of I(2..U); S carries over, one update per i
         prefixes = [0, *_indicators(2, u_override, variant, counter).cumsum().tolist()]
@@ -141,8 +133,7 @@ def audit_range(
     u_max = as_nat(u_max, "u_max")
     if not 2 <= u_min <= u_max:
         raise DomainError(f"audit_range requires 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
-    if EvalMode.NAIVE in modes and u_max > NAIVE_LIMIT_MAX:
-        raise RangeError(f"naive audit rows are limited to U <= {NAIVE_LIMIT_MAX}")
+    admit(sum(summed_tests(u_min, u_max, m) for m in modes), f"audit of U in [{u_min}, {u_max}]")
     if table is None or table.limit < u_max:
         table = build_sieve(max(u_max, 2))
     rows = []

@@ -4,7 +4,8 @@ Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare,
 verify (every checked claim in one document).
 Human-readable text by default; `--json` emits one deterministic document
 per invocation (sorted keys, no timestamps).  Exit codes: 0 ok, 1 a checked
-claim failed, 2 bad input, 3 overflow/range, 130 interrupted, 141 broken pipe.
+claim failed, 2 bad input, 3 overflow/range (including input whose predicted
+divisor tests exceed `core.MAX_DIVISOR_TESTS`), 130 interrupted, 141 broken pipe.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from .core import IndicatorVariant
 from .enumerator import EvalMode, PostconditionError, evaluate, record_lift, trace
 from .nat import DomainError, RangeError
 from .oracle import SieveTable, sieve_for_nth
-from .reports import BoundsReport, make_report
+from .reports import BoundsReport
 from .schedules import (
     Schedule,
     check_lin_growth_bound,
     square_schedule_base_cases,
     validate_schedule,
 )
-
-TABLE_X_MAX = 10**4
 
 _SCHEDULES = {"sq": Schedule.SQUARE, "lin": Schedule.LINLOG}
 _MODES = {"naive": EvalMode.NAIVE, "incremental": EvalMode.INCREMENTAL}
@@ -128,8 +127,7 @@ def _cmd_nth_prime(args) -> Tuple[ReportDocument, str]:
 
 
 def _cmd_table(args) -> Tuple[ReportDocument, str]:
-    if args.max > TABLE_X_MAX:
-        raise RangeError(f"table is limited to --max <= {TABLE_X_MAX}")
+    evaluate(args.max)  # admits the largest row first; the rows then read its store
     table = sieve_for_nth(args.max + 1)
     rows = []
     all_agree = True
@@ -212,8 +210,10 @@ def _cmd_compare(args) -> Tuple[ReportDocument, str]:
 
 def _cmd_verify(args) -> Tuple[ReportDocument, str]:
     n, sweep = args.max, args.sweep_max
+    for variant in IndicatorVariant:  # admits the sweeps before any report runs
+        evaluate(sweep, variant=variant)
     table = sieve_for_nth(max(n, sweep) + 1)
-    # the cheap claims run first, so that a bad --max is rejected before the long sweeps
+    # the cheap claims run next, so that a bad --max is rejected before the audit
     reports = [
         *_validate_reports(n, table),
         validate_schedule(Schedule.WILLANS, min(n, 200), table),
@@ -230,20 +230,20 @@ def _cmd_verify(args) -> Tuple[ReportDocument, str]:
     ]
     lifts = [(l, record_lift(l)) for l in range(2, sweep + 1)]
     reports += [
-        make_report("enumerator-matches-sieve", (0, sweep), mismatches),
-        make_report(
+        BoundsReport("enumerator-matches-sieve", (0, sweep), tuple(mismatches)),
+        BoundsReport(
             "record-lift-exceeds-input",
             (2, sweep),
-            [(l, float(p), float(l)) for l, p in lifts if not (table.is_prime(p) and p > l)],
+            tuple((l, float(p), float(l)) for l, p in lifts if not (table.is_prime(p) and p > l)),
         ),
-        make_report(
+        BoundsReport(
             "audit-closed-forms",
             (2, args.audit_max),
-            [
+            tuple(
                 (row.u, float(row.measured.divisor_tests), float(row.predicted_gcd))
                 for row in audit_rows
                 if not row.match
-            ],
+            ),
         ),
     ]
     inputs = {"max": n, "sweep_max": sweep, "audit_max": args.audit_max}

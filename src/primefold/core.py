@@ -20,7 +20,9 @@ store and tallies every chunk it evaluates; counted runs never short-circuit.
 Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
 the kernel fills: `prefix_count(i)` scans exactly the j <= i the store lacks,
 and `_Store.grow` scans one block of at most about _BLOCK_TESTS divisor
-tests, which bounds any scan past a flip.
+tests, which bounds any scan past a flip.  `evaluate`, `trace`, `run_counted`
+and `audit_range` first pass their closed-form count of divisor tests to
+`admit`, which raises a RangeError naming it when it is over MAX_DIVISOR_TESTS.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
-from .nat import DomainError, as_nat, checked_add
+from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
 
 if TYPE_CHECKING:  # pragma: no cover
     from .audit import OpCounts
@@ -39,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _CHUNK = 1 << 20
 _BLOCK_TESTS = 1 << 16
 _SMALL_J = 256  # j's up to here scan as one pass over their (k, j) pairs
+MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
 
 
 class IndicatorVariant(enum.Enum):
@@ -64,6 +67,28 @@ def delta(j: int, k: int) -> int:
     if j < 2 or not 2 <= k <= j - 1:
         raise DomainError(f"delta requires j >= 2 and 2 <= k <= j-1, got j={j}, k={k}")
     return j // k - (j - 1) // k
+
+
+def closed_form_naive(u: int) -> int:
+    """(U-2)(U-1)U / 6, exactly (three consecutive integers divide by 6)."""
+    u = as_nat(u, "u")
+    if u < 2:
+        raise DomainError(f"closed_form_naive requires U >= 2, got {u}")
+    return checked_mul(checked_mul(u - 2, u - 1), u) // 6
+
+
+def closed_form_incremental(u: int) -> int:
+    """(U-2)(U-1) / 2, exactly."""
+    u = as_nat(u, "u")
+    if u < 2:
+        raise DomainError(f"closed_form_incremental requires U >= 2, got {u}")
+    return checked_mul(u - 2, u - 1) // 2
+
+
+def admit(tests: int, what: str) -> None:
+    """Raise RangeError if `what`, predicted to run `tests` divisor tests, is over budget."""
+    if tests > MAX_DIVISOR_TESTS:
+        raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
 # dtype -> rows (k = 2, 3, ... base; shifted k; two outputs), reused by every scan

@@ -23,12 +23,10 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _STORES, IndicatorVariant
-from .nat import DomainError, RangeError, as_nat, checked_add
+from .core import _STORES, IndicatorVariant, admit, closed_form_incremental
+from .nat import DomainError, as_nat, checked_add
 from .oracle import sieve_for_nth
-from .schedules import Schedule, schedule_limit
-
-TRACE_ROW_LIMIT = 10**5
+from .schedules import Schedule, schedule_limit, u_lin
 
 
 class EvalMode(enum.Enum):
@@ -81,6 +79,8 @@ def evaluate(
     """
     x = as_nat(x, "x")
     limit = schedule_limit(schedule, x)
+    # the flip p_{x+1} <= u_lin(x) (Rosser-Schoenfeld) ends the scan
+    admit(closed_form_incremental(max(min(limit, u_lin(x)), 2)), f"evaluating x = {x}")
     store = _STORES[variant]
     total = 0
     lo = 1
@@ -105,11 +105,7 @@ def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
     """Full per-i breakdown (I, S, A) over i = 1..U(x); no truncation."""
     x = as_nat(x, "x")
     limit = schedule_limit(schedule, x)
-    if limit > TRACE_ROW_LIMIT:
-        raise RangeError(
-            f"trace limit {limit} exceeds {TRACE_ROW_LIMIT} rows; "
-            "use evaluate() for untraced evaluation"
-        )
+    admit(closed_form_incremental(max(limit, 2)), f"tracing x = {x} to U = {limit}")
     store = _STORES[IndicatorVariant.GCD]
     store.fill(limit)
     ind = store.ind[1 : limit + 1]

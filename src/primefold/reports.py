@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 Violation = Tuple[int, float, float]  # (x, lhs, rhs)
 
@@ -35,16 +35,3 @@ class BoundsReport:
             "passed": self.passed,
         }
 
-
-def make_report(
-    claim_id: str,
-    x_range: Tuple[int, int],
-    violations: Sequence[Violation],
-    min_slack: Optional[float] = None,
-) -> BoundsReport:
-    return BoundsReport(
-        claim_id=claim_id,
-        x_range=x_range,
-        violations=tuple(violations),
-        min_slack=min_slack,
-    )

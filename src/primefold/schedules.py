@@ -22,7 +22,7 @@ from typing import Optional
 
 from .nat import NAT_MAX, RangeError, as_nat, checked_add, checked_mul
 from .oracle import SieveTable, sieve_for_nth
-from .reports import BoundsReport, make_report
+from .reports import BoundsReport
 
 WILLANS_EXACT_MAX_X = 62  # 2^(x+1) fits a 64-bit natural iff x <= 62
 
@@ -110,8 +110,8 @@ def validate_schedule(
                 violations.append((x, float(limit), float(p - 1)))
             if min_slack is None or slack < min_slack:
                 min_slack = slack
-    return make_report(
-        f"schedule-{kind.value}-covers-next-prime", (0, x_max), violations, min_slack
+    return BoundsReport(
+        f"schedule-{kind.value}-covers-next-prime", (0, x_max), tuple(violations), min_slack
     )
 
 
@@ -125,7 +125,7 @@ def square_schedule_base_cases(table: Optional[SieveTable] = None) -> BoundsRepo
         rhs = n * n
         if lhs > rhs:
             violations.append((n, float(lhs), float(rhs)))
-    return make_report("square-schedule-base-cases", (1, 5), violations)
+    return BoundsReport("square-schedule-base-cases", (1, 5), tuple(violations))
 
 
 def check_lin_growth_bound(
@@ -150,4 +150,4 @@ def check_lin_growth_bound(
             violations.append((x, bound, float(p)))
         if min_margin is None or margin < min_margin:
             min_margin = margin
-    return make_report("lin-schedule-real-bound", (5, x_max), violations, min_margin)
+    return BoundsReport("lin-schedule-real-bound", (5, x_max), tuple(violations), min_margin)

@@ -23,6 +23,7 @@ from primefold import (
     indicator,
     run_counted,
 )
+from primefold.audit import summed_tests
 
 GCD = IndicatorVariant.GCD
 DELTA = IndicatorVariant.DELTA
@@ -67,6 +68,25 @@ def test_closed_form_preconditions():
             closed_form_naive(u)
         with pytest.raises(DomainError):
             closed_form_incremental(u)
+
+
+def test_divisor_test_budget_boundary():
+    assert closed_form_naive(2000) == core.MAX_DIVISOR_TESTS  # the largest counted naive run
+    core.admit(core.MAX_DIVISOR_TESTS, "a run at the budget")
+    with pytest.raises(RangeError, match=f"predicts {core.MAX_DIVISOR_TESTS + 1} divisor tests"):
+        core.admit(core.MAX_DIVISOR_TESTS + 1, "a run past the budget")
+
+
+def test_summed_tests_equal_bruteforce_row_sums():
+    rows = {
+        EvalMode.NAIVE: [naive_tests_bruteforce(u) for u in range(61)],
+        EvalMode.INCREMENTAL: [incremental_tests_bruteforce(u) for u in range(61)],
+    }
+    for mode, tests in rows.items():
+        assert summed_tests(1, 1, mode) == 0  # run_counted's U = 1
+        for a in range(2, 61):
+            for b in range(a, 61):
+                assert summed_tests(a, b, mode) == sum(tests[a : b + 1])
 
 
 # -------------------------------------------------------------- counted runs
@@ -170,7 +190,7 @@ def test_run_counted_guards():
         run_counted(3, 0)
     with pytest.raises(RangeError):
         run_counted(3, 2001, EvalMode.NAIVE)
-    # the guard does not apply to the quadratic mode
+    # the quadratic mode predicts 1,999,000 divisor tests here, well inside the budget
     value, _ = run_counted(0, 2001, EvalMode.INCREMENTAL, DELTA)
     assert value == 2
 
@@ -205,6 +225,6 @@ def test_audit_range_guards():
         audit_range(10, 5)
     with pytest.raises(RangeError):
         audit_range(2, 2001)
-    # incremental-only ranges may exceed the naive guard
+    # incremental-only rows past U = 2000 are well inside the budget
     rows = audit_range(2040, 2042, modes=(EvalMode.INCREMENTAL,))
     assert all(row.match for row in rows)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from primefold import sieve_for_nth
+from primefold import closed_form_incremental, closed_form_naive, core, sieve_for_nth, u_lin
 from primefold.cli import ReportDocument, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -78,6 +78,27 @@ def test_table_max0(capsys):
 
 def test_table_range_guard(capsys):
     assert run_cli(capsys, "table", "--max", "10001")[0] == 3
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("an over-budget command reached the k-scan kernel")
+
+
+@pytest.mark.parametrize("argv,predicted", [
+    (("nth-prime", "1000000000000"), None),  # the count itself overflows 64 bits
+    (("record-lift", "1000000"), closed_form_incremental(u_lin(1_000_000))),
+    (("table", "--max", "10001"), closed_form_incremental(u_lin(10_001))),
+    (("trace", "10000"), closed_form_incremental(u_lin(10_000))),
+    (("audit", "--u-max", "500"),
+     sum(closed_form_naive(u) + closed_form_incremental(u) for u in range(2, 501))),
+    (("verify", "--sweep-max", "100000"), closed_form_incremental(u_lin(100_000))),
+])
+def test_over_budget_input_exits_3_before_any_scan(monkeypatch, capsys, argv, predicted):
+    monkeypatch.setattr(core, "_scan_hits", _no_scan)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert predicted is None or predicted > core.MAX_DIVISOR_TESTS
+    assert (f"predicts {predicted} divisor tests" if predicted else "64-bit natural range") in err
 
 
 def test_output_is_deterministic(capsys):

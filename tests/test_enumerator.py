@@ -132,7 +132,7 @@ def test_trace_coherence(x, small_sieve):
 
 def test_trace_row_guard():
     with pytest.raises(RangeError):
-        trace(10_000)  # linlog limit 114332 exceeds the 10^5 row budget
+        trace(10_000)  # linlog limit 114332 predicts 6,535,731,615 divisor tests, over budget
     with pytest.raises(RangeError):
         trace(400, Schedule.SQUARE)  # square limit 160801
 
