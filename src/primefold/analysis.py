@@ -21,7 +21,7 @@ from .enumerator import trace
 from .nat import DomainError, RangeError, as_nat
 from .oracle import SieveTable, sieve_for_nth
 from .reports import BoundsReport
-from .schedules import Schedule, u_lin
+from .schedules import Schedule, p_lower, u_lin
 
 FORWARD_AXIOM_X_MAX = 200  # trace-backed check; keep the row volume bounded
 
@@ -122,7 +122,7 @@ def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsRe
     for x in range(5, x_max + 1):
         p = table.nth_prime(x + 1)
         n = x + 1
-        lower = n * (math.log(n) + math.log(math.log(n)) - 1.0) - 1.0
+        lower = p_lower(n) - 1.0
         lhs = float(p - 1)
         if lhs < lower:
             violations.append((x, lhs, lower))

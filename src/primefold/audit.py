@@ -2,22 +2,20 @@
 
 Counted runs re-evaluate the folded expression with no shortcut and no
 store: the kernel that fills the store evaluates every divisor test and
-tallies each chunk it evaluates.  Every k-range reaches j-1 and the i-loop
-reaches the forced limit U.  Measured divisor tests must match the closed forms
+tallies each row it evaluates.  Every k-range reaches j-1 and the i-loop
+reaches the forced limit U.  `AuditRow.match` requires all six tallies:
 
-    naive (triple-nested):   (U-2)(U-1)U / 6
-    incremental (carry S):   (U-2)(U-1) / 2
+    divisor tests:     (U-2)(U-1)U / 6 naive,  (U-2)(U-1) / 2 incremental
+    additions:         (U+1)^2 naive,          5U incremental
+    indicator floors:  U(U-1) / 2 naive,       U - 1 incremental
+    step floors:       2U; inner-test floors: the tests (gcd), 2x them (delta)
 
-and every audited run performs exactly 2U step floors.  `core.admit` checks
-their sum over a run's rows against the budget before the first scan.
-
+`core.admit` checks the tests summed over a run's rows before the first scan.
 Tally conventions: one gcd call and one floor per gcd divisor test; one
 delta evaluation and two floors per gcd-free divisor test; the additions
 tally covers the fold's own + sites (indicator's 1+sum, prefix update,
 step's x+1 and 1+q, outer accumulation, final 1+sum) while the sum over
-k inside a divisor scan belongs to the divisor-test tally.  The per-indicator
-enclosing floor is recorded separately (indicator_floors) and not asserted
-against a closed form.
+k inside a divisor scan belongs to the divisor-test tally.
 """
 
 from __future__ import annotations
@@ -64,11 +62,15 @@ class AuditRow:
     match: bool = field(init=False)
 
     def __post_init__(self):
-        ok = (
-            self.measured.divisor_tests == self.predicted_gcd
-            and self.measured.step_floors == 2 * self.u
+        u, tests, naive = self.u, self.predicted_gcd, self.mode is EvalMode.NAIVE
+        gcd = self.variant is IndicatorVariant.GCD
+        predicted = OpCounts(
+            gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
+            inner_test_floors=tests if gcd else 2 * tests,
+            indicator_floors=u * (u - 1) // 2 if naive else u - 1,
+            step_floors=2 * u, additions=(u + 1) ** 2 if naive else 5 * u,
         )
-        object.__setattr__(self, "match", ok)
+        object.__setattr__(self, "match", self.measured == predicted)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "mode": self.mode.value, "variant": self.variant.value}

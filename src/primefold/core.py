@@ -12,17 +12,17 @@ and gcd, evaluated exactly as written (no boolean shortcuts for the floors):
 Both divisor tests equal 1 exactly when k divides j, so the indicator's
 inner sum counts proper divisors and I(j) = 1 iff j is prime.
 
-One numpy k-scan kernel, `_scan_hits`, evaluates every divisor test, in
-int32 unless the range reaches j = 2^31: j's up to _SMALL_J as one j-major
-pass over their (k, j) pairs, larger j's along the shared k = 2, 3, ... row
-in chunks of _CHUNK k's.  Given an `OpCounts` via `counter`, it reads no
-store and tallies every chunk it evaluates; counted runs never short-circuit.
-Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
-the kernel fills: `prefix_count(i)` scans exactly the j <= i the store lacks,
-and `_Store.grow` scans one block of at most about _BLOCK_TESTS divisor
-tests, which bounds any scan past a flip.  `evaluate`, `trace`, `run_counted`
-and `audit_range` first pass their closed-form count of divisor tests to
-`admit`, which raises a RangeError naming it when it is over MAX_DIVISOR_TESTS.
+One numpy k-scan kernel, `_scan_hits`, evaluates every divisor test: j's up
+to _SMALL_J as one pass over their (k, j) pairs, larger j's in uint32.  A
+wide slice of those (lo' <= hi // 2) runs k-major, one row per k with the
+j's as the vector, so each numpy call divides by one scalar; a narrower one
+runs j-major, one row per j over k = 2, 3, ... in chunks of _CHUNK k's.
+Given an `OpCounts` via `counter`, it reads no store and tallies every row it
+evaluates.  Uncounted runs read a per-variant store of I(j) (int8) and S(j)
+(int64) that the kernel fills: `prefix_count(i)` scans exactly the j <= i
+the store lacks, and `_Store.grow` one block of about _BLOCK_TESTS tests.
+Entry points, store fills and single-j scans first pass their count of
+divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def admit(tests: int, what: str) -> None:
         raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
-# dtype -> rows (k = 2, 3, ... base; shifted k; two outputs), reused by every scan
-_BUFFERS = {dtype: np.empty((4, 0), dtype) for dtype in (np.int32, np.int64)}
+# j-major rows (k = 2, 3, ... base; shifted k; two outputs); admit keeps every j below 2^31
+_BUFFERS = np.empty((4, 0), np.uint32)
 _PAIRS = None  # rows k, j and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
 
 
@@ -117,7 +117,7 @@ def _divisor_tests(ks, js, a, b, variant: IndicatorVariant, counter: "OpCounts |
 
 def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
     """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
-    global _PAIRS
+    global _PAIRS, _BUFFERS
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
     first, last = max(lo, 3), min(hi, _SMALL_J)  # j = 2 has no k
     if first <= last:
@@ -129,14 +129,21 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts |
         tests = _divisor_tests(ks, js, a, b, variant, counter)
         starts = _offset(np.arange(first, last + 1)) - _offset(first)
         hits[first - lo : last - lo + 1] = np.add.reduceat(tests, starts)
-    dtype = np.int32 if hi < 2**31 else np.int64
-    rows = _BUFFERS[dtype]
-    if rows.shape[1] < min(hi - 2, _CHUNK):
-        rows = _BUFFERS[dtype] = np.empty((4, min(max(hi - 2, 2 * rows.shape[1]), _CHUNK)), dtype)
-        rows[0] = np.arange(2, 2 + rows.shape[1])
-    for j in range(max(lo, _SMALL_J + 1), hi + 1):
+    first = max(lo, _SMALL_J + 1)
+    if first <= hi // 2:  # k-major: one row per k, the j's as the vector
+        js = np.arange(first, hi + 1, dtype=np.uint32)
+        acc, a, b = np.zeros((3, js.size), np.uint32)
+        for k in range(2, hi):
+            s = max(k + 1 - first, 0)
+            acc[s:] += _divisor_tests(k, js[s:], a[s:], b[s:], variant, counter)
+        hits[first - lo :] = acc
+        return hits
+    if _BUFFERS.shape[1] < min(hi - 2, _CHUNK):  # j-major: one row per j, k chunked
+        _BUFFERS = np.empty((4, min(max(hi - 2, 2 * _BUFFERS.shape[1]), _CHUNK)), np.uint32)
+        _BUFFERS[0] = np.arange(2, 2 + _BUFFERS.shape[1])
+    for j in range(first, hi + 1):
         for k0 in range(2, j, _CHUNK):
-            base, ks, a, b = rows[:, : min(j - k0, _CHUNK)]
+            base, ks, a, b = _BUFFERS[:, : min(j - k0, _CHUNK)]
             ks = base if k0 == 2 else np.add(base, k0 - 2, out=ks)
             hits[j - lo] += int(_divisor_tests(ks, j, a, b, variant, counter).sum())
     return hits
@@ -165,6 +172,7 @@ class _Store:
         lo = self.n + 1
         if m < lo:
             return
+        admit((m - self.n) * (m + self.n - 3) // 2, f"scanning j in [{lo}, {m}]")  # sum of j - 2
         if m >= self.ind.size:
             cap = max(m + 1, 2 * self.ind.size)
             self.ind, self.pre = (np.pad(a, (0, cap - a.size)) for a in (self.ind, self.pre))
@@ -208,6 +216,7 @@ def indicator(
         store.fill(j)
     if counter is None and j <= store.n:
         return int(store.ind[j])
+    admit(j - 2, f"the indicator of j = {j}")
     return int(_indicators(j, j, variant, counter)[0])
 
 

@@ -7,8 +7,9 @@ ones.  `evaluate` exploits the flip: once A reaches 0 the remaining terms
 are identically zero, so the loop stops there with the sum unchanged.
 Audited runs (see `audit`) and `trace` always sweep the full range.
 
-Both modes read the core store, extending it a block at a time past a flip,
-and step whole blocks of i as arrays.  They differ only in the block's S(i):
+From x = 5 on, `evaluate` fills the core store in one wide scan up to
+floor(p_lower(x+1)) < p_{x+1} (Dusart's bound), then a block at a time past
+it.  Both modes step whole blocks of i as arrays and differ only in S(i):
 
 * INCREMENTAL reads the carried S(i),
 * NAIVE re-sums I(2..i) from scratch for every i, one numpy sum each
@@ -26,7 +27,7 @@ import numpy as np
 from .core import _STORES, IndicatorVariant, admit, closed_form_incremental
 from .nat import DomainError, as_nat, checked_add
 from .oracle import sieve_for_nth
-from .schedules import Schedule, schedule_limit, u_lin
+from .schedules import Schedule, p_lower, schedule_limit, u_lin
 
 
 class EvalMode(enum.Enum):
@@ -82,6 +83,8 @@ def evaluate(
     # the flip p_{x+1} <= u_lin(x) (Rosser-Schoenfeld) ends the scan
     admit(closed_form_incremental(max(min(limit, u_lin(x)), 2)), f"evaluating x = {x}")
     store = _STORES[variant]
+    if x >= 5:  # one wide scan up to Dusart's floor, which lies before the flip p_{x+1}
+        store.fill(min(int(p_lower(x + 1)), limit))
     total = 0
     lo = 1
     while lo <= limit:

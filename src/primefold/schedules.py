@@ -8,10 +8,10 @@ growth-rate comparison only, valid by Bertrand's postulate):
     u_sq(x)  = (x + 1)^2
     u_lin(x) = ceil((x + 1) * (ln(x + e) + ln ln(x + e))) + 10
 
-u_lin uses double-precision logarithms followed by an exact ceiling; a +-1
-perturbation at a ceiling boundary is tolerable because the +10 slack keeps
-the defining inequality intact, and validate_schedule certifies it against
-the sieve independently.
+u_lin uses double-precision logarithms and an exact ceiling.  The budget
+admits `evaluate` only for x <= 4,853 and its count never decreases in x
+(tested to 10^6), so validate_schedule's sieve check of u_lin on [0, 10^4]
+covers every admitted x; a sieve test holds Dusart's p_lower there too.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ def u_lin(x: int) -> int:
     if value > NAT_MAX:
         raise OverflowError(f"u_lin({x}) exceeds the 64-bit natural range")
     return value
+
+
+def p_lower(n: int) -> float:
+    """n(ln n + ln ln n - 1), Dusart's (1999) lower bound on p_n for n >= 2."""
+    return n * (math.log(n) + math.log(math.log(n)) - 1.0)
 
 
 def w_willans_log2(x: int) -> int:

@@ -6,11 +6,14 @@ closed forms were frozen from it before being asserted against measured
 counts.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from primefold import (
+    AuditRow,
     DomainError,
     EvalMode,
     IndicatorVariant,
@@ -174,6 +177,32 @@ def test_counted_runs_hold_across_both_scan_layouts(monkeypatch, small_sieve, va
         assert counts.divisor_tests == predicted
         assert counts.inner_test_floors == (1 if variant is GCD else 2) * predicted
         assert counts.step_floors == 2 * u
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_counted_run_at_u_600_matches_all_six_closed_forms(variant):
+    # U = 600 scans the j's past the pairs k-major
+    _, counts = run_counted(109, 600, EvalMode.INCREMENTAL, variant)  # pi(600) = 109
+    tests = closed_form_incremental(600)
+    assert counts.gcd_calls == (tests if variant is GCD else 0)
+    assert counts.delta_calls == (0 if variant is GCD else tests)
+    assert counts.inner_test_floors == (1 if variant is GCD else 2) * tests
+    assert counts.indicator_floors == 599
+    assert counts.step_floors == 1200
+    assert counts.additions == 3000
+    assert AuditRow(600, EvalMode.INCREMENTAL, variant, counts, tests).match
+
+
+@pytest.mark.parametrize("tally", [f.name for f in dataclasses.fields(OpCounts)])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+@pytest.mark.parametrize("mode", [EvalMode.NAIVE, EvalMode.INCREMENTAL])
+def test_audit_row_rejects_any_tally_off_by_one(tally, variant, mode):
+    _, counts = run_counted(30, 30, mode, variant)
+    tests = closed_form_naive(30) if mode is EvalMode.NAIVE else closed_form_incremental(30)
+    assert AuditRow(30, mode, variant, counts, tests).match
+    for off in (-1, 1):
+        wrong = dataclasses.replace(counts, **{tally: getattr(counts, tally) + off})
+        assert not AuditRow(30, mode, variant, wrong, tests).match
 
 
 def test_counted_runs_never_read_or_fill_the_store():

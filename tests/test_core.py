@@ -16,6 +16,7 @@ from primefold import (
     DomainError,
     IndicatorVariant,
     OpCounts,
+    RangeError,
     core,
     delta,
     divisor_hit,
@@ -158,6 +159,13 @@ def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 300)]
     for lo in (2, 3, 17, 40, 41):
         assert core._scan_hits(lo, 299, variant).tolist() == expected[lo - 2 :]
+    for lo in (148, 149, 150, 151):  # k-major up to lo = 299 // 2, j-major past it
+        counter = OpCounts()
+        assert core._scan_hits(lo, 299, variant, counter).tolist() == expected[lo - 2 :]
+        tests = sum(j - 2 for j in range(lo, 300))
+        assert counter.gcd_calls == (tests if variant is GCD else 0)
+        assert counter.delta_calls == (0 if variant is GCD else tests)
+        assert counter.inner_test_floors == (1 if variant is GCD else 2) * tests
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
@@ -181,6 +189,24 @@ def test_store_fills_exactly_the_requested_prefix_and_grows_in_blocks(variant):
     expected = [1 if is_prime_trial(j) else 0 for j in range(2, store.n + 1)]
     assert store.ind[2 : store.n + 1].tolist() == expected
     assert store.pre[1 : store.n + 1].tolist() == [0, *itertools.accumulate(expected)]
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("an over-budget call reached the k-scan kernel")
+
+
+def test_over_budget_store_fills_and_single_scans_raise_before_any_scan(monkeypatch):
+    core._reset_stores()
+    monkeypatch.setattr(core, "_scan_hits", _no_scan)
+    with pytest.raises(RangeError, match="predicts 49999985000001 divisor tests"):
+        prefix_count(10**7)
+    with pytest.raises(RangeError, match=f"predicts {2**40 + 13} divisor tests"):
+        indicator(2**40 + 15)
+    for variant in (GCD, DELTA):  # one j past the budget, counted or not
+        with pytest.raises(RangeError):
+            indicator(core.MAX_DIVISOR_TESTS + 3, variant)
+        with pytest.raises(RangeError):
+            indicator(core.MAX_DIVISOR_TESTS + 3, variant, counter=OpCounts())
 
 
 # -------------------------------------------------------------- prefix count

@@ -1,5 +1,6 @@
 """Enumerator tests: ground truth, mode/variant/schedule agreement, traces."""
 
+import math
 from functools import partial
 
 import pytest
@@ -22,6 +23,7 @@ from primefold import (
     run_counted,
     trace,
 )
+from primefold.schedules import p_lower
 
 SCHEDULES = [Schedule.SQUARE, Schedule.LINLOG]
 MODES = [EvalMode.NAIVE, EvalMode.INCREMENTAL]
@@ -72,6 +74,36 @@ def test_evaluate_scans_at_most_one_block_past_the_flip(small_sieve, mode):
     store = core._STORES[IndicatorVariant.GCD]
     assert p <= store.n
     assert sum(j - 2 for j in range(p + 1, store.n + 1)) <= core._BLOCK_TESTS
+
+
+def test_cold_evaluate_scans_to_dusarts_floor_in_one_call_then_in_blocks(monkeypatch):
+    calls = []
+
+    def recording(lo, hi, variant, counter=None):
+        calls.append((lo, hi))
+        return scan(lo, hi, variant, counter)
+
+    scan = core._scan_hits
+    monkeypatch.setattr(core, "_scan_hits", recording)
+    core._reset_stores()
+    assert evaluate(2000, variant=IndicatorVariant.DELTA) == 17_393
+    floor = math.floor(p_lower(2001))
+    assert floor == 17_268 and calls[0] == (2, floor)
+    assert len(calls) > 1 and calls[1][0] == floor + 1
+    for lo, hi in calls[1:]:
+        assert sum(j - 2 for j in range(lo, hi + 1)) <= core._BLOCK_TESTS
+
+
+def test_evaluate_skips_the_prefill_below_x_5(monkeypatch, small_sieve):
+    def no_floor(n):
+        raise AssertionError(f"p_lower({n}) computed")
+
+    monkeypatch.setattr(enumerator, "p_lower", no_floor)
+    for x in range(5):
+        core._reset_stores()
+        assert evaluate(x) == small_sieve.nth_prime(x + 1)
+    with pytest.raises(AssertionError, match="p_lower"):
+        evaluate(5)
 
 
 @settings(max_examples=10)

@@ -20,6 +20,8 @@ from primefold import (
     Schedule,
     build_sieve,
     check_lin_growth_bound,
+    closed_form_incremental,
+    evaluate,
     schedule_limit,
     square_schedule_base_cases,
     u_lin,
@@ -28,6 +30,8 @@ from primefold import (
     w_willans_exact,
     w_willans_log2,
 )
+from primefold.core import MAX_DIVISOR_TESTS
+from primefold.schedules import p_lower
 
 U_LIN_GOLDEN = {0: 11, 1: 14, 2: 16, 3: 20, 4: 23, 5: 27, 9: 44, 10: 49, 10_000: 114_332}
 
@@ -131,3 +135,18 @@ def test_lin_growth_bound_full_range(big_sieve):
     report = check_lin_growth_bound(10_000, big_sieve)
     assert report.passed
     assert report.min_slack > 0
+
+
+def test_dusart_floor_lies_before_the_flip(big_sieve):
+    for x in range(5, 10_001):
+        assert math.floor(p_lower(x + 1)) <= big_sieve.nth_prime(x + 1) - 1
+
+
+def test_admitted_evaluations_are_a_prefix_of_x():
+    # u_lin is checked against the sieve on [0, 10^4] (Criterion 05), so that
+    # check covers every admitted x once the admitted x's form a prefix
+    assert closed_form_incremental(u_lin(4_853)) <= MAX_DIVISOR_TESTS
+    with pytest.raises(RangeError, match="predicts"):
+        evaluate(4_854)
+    predicted = list(map(closed_form_incremental, map(u_lin, range(10**6 + 1))))
+    assert all(a <= b for a, b in zip(predicted, predicted[1:]))
