@@ -1,13 +1,13 @@
 """Non-synonymy and minimality checks at desk scale.
 
 Three enumerator families are separated by fixed 6-bit operator-palette
-fingerprints (stored constants; the coordinate semantics are opaque, the
-tested property is distinctness) and by schedule growth: the Willans limit
-2^(x+1) outgrows the near-linear schedule, which is tested in log space as
-strict monotonicity of r(x) = (x+1) ln 2 - ln u_lin(x) plus a concrete gap.
-The schedule lower bound (any forward-count enumerator needs
-U(x) >= p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1 from x >= 5)
-is swept numerically against the sieve.
+fingerprints (stored constants, tested for distinctness) and by schedule
+growth: the Willans limit 2^(x+1) outgrows u_lin, tested as strict growth
+of r(x) = (x+1) ln 2 - ln u_lin(x) plus a concrete gap.  The lower bound
+U(x) >= p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1 (x >= 5) of any
+forward-count enumerator is swept against the sieve, and the axiom against
+each trace's step array.  A float margin within 4 ulps of its bound counts
+as a violation.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ def check_signature_separation() -> BoundsReport:
     return BoundsReport("operator-signature-separation", (0, 2), tuple(violations))
 
 
+def _log_ratio(x: int) -> float:
+    """r(x) = (x+1) ln 2 - ln u_lin(x)."""
+    return (x + 1) * math.log(2.0) - math.log(u_lin(x))
+
+
 def check_schedule_divergence(x_max: int) -> BoundsReport:
     """r(x) = (x+1) ln 2 - ln u_lin(x) strictly increases for x >= 10.
 
@@ -89,18 +94,16 @@ def check_schedule_divergence(x_max: int) -> BoundsReport:
     x_max = as_nat(x_max, "x_max")
     if x_max < 10:
         raise DomainError(f"check_schedule_divergence requires x_max >= 10, got {x_max}")
-    r = [0.0] * (x_max + 1)
-    for x in range(1, x_max + 1):
-        r[x] = (x + 1) * math.log(2.0) - math.log(u_lin(x))
+    r = [0.0] + [_log_ratio(x) for x in range(1, x_max + 1)]
     violations = []
     min_gap: Optional[float] = None
     for x in range(11, x_max + 1):
         gap = r[x] - r[x - 1]
-        if gap <= 0.0:
+        if gap <= 4 * math.ulp(r[x - 1]):
             violations.append((x, r[x], r[x - 1]))
         if min_gap is None or gap < min_gap:
             min_gap = gap
-    if x_max >= 60 and not r[x_max] > r[10] + 10.0:
+    if x_max >= 60 and r[x_max] - (r[10] + 10.0) <= 4 * math.ulp(r[10] + 10.0):
         violations.append((x_max, r[x_max], r[10] + 10.0))
     return BoundsReport("schedule-log-ratio-divergence", (1, x_max), tuple(violations), min_gap)
 
@@ -124,7 +127,7 @@ def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsRe
         n = x + 1
         lower = p_lower(n) - 1.0
         lhs = float(p - 1)
-        if lhs < lower:
+        if lhs - lower <= 4 * math.ulp(lower):
             violations.append((x, lhs, lower))
         rel = (lhs - lower) / lower
         if min_rel is None or rel < min_rel:
@@ -152,14 +155,12 @@ def check_forward_count_axiom(
     for x in range(x_max + 1):
         record = trace(x, Schedule.LINLOG)
         p = table.nth_prime(x + 1)
-        steps = [row.step for row in record.rows]
-        if any(a not in (0, 1) for a in steps):
-            violations.append((x, float(next(a for a in steps if a not in (0, 1))), 0.0))
-            continue
-        if any(steps[i] > steps[i - 1] for i in range(1, len(steps))):
+        steps = record.steps
+        off = steps[(steps != 0) & (steps != 1)]
+        if off.size:
+            violations.append((x, float(off[0]), 0.0))
+        elif (steps[1:] > steps[:-1]).any():
             violations.append((x, -1.0, float(p)))
-            continue
-        expected = [1 if row.i < p else 0 for row in record.rows]
-        if steps != expected or record.flip_index != p:
+        elif not steps[: p - 1].all() or steps[p - 1 :].any() or record.flip_index != p:
             violations.append((x, float(record.flip_index), float(p)))
     return BoundsReport("forward-count-axiom", (0, x_max), tuple(violations))

@@ -24,7 +24,9 @@ from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .core import IndicatorVariant, _indicators, admit, step
+import numpy as np
+
+from .core import IndicatorVariant, _indicators, _steps, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat, checked_add
@@ -104,18 +106,13 @@ def run_counted(
     admit(summed_tests(u_override, u_override, mode), f"a {mode.value} run at U = {u_override}")
     counter = OpCounts()
     if mode is EvalMode.INCREMENTAL:  # one scan of I(2..U); S carries over, one update per i
-        prefixes = [0, *_indicators(2, u_override, variant, counter).cumsum().tolist()]
+        prefixes = np.cumsum([0, *_indicators(2, u_override, variant, counter)])
         counter.additions += u_override
     else:  # every i re-scans I(2..i) and re-sums S(i) from scratch
-        prefixes = []
-        for i in range(1, u_override + 1):
-            prefixes.append(int(_indicators(2, i, variant, counter).sum()))
-            counter.additions += i - 1
-    total = 0
-    for s in prefixes:
-        total += step(s, x, counter=counter)
-        counter.additions += 1
-    counter.additions += 1
+        prefixes = [_indicators(2, i, variant, counter).sum() for i in range(1, u_override + 1)]
+        counter.additions += u_override * (u_override - 1) // 2  # i - 1 per S(i)
+    total = int(_steps(np.array(prefixes, np.uint64), x, counter).sum())  # uint64 holds any x + 1
+    counter.additions += u_override + 1  # the outer sum's U accumulations and its final 1 + sum
     return checked_add(1, total), counter
 
 

@@ -230,13 +230,16 @@ def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> in
     return int(store.pre[i])
 
 
+def _steps(prefix, x: int, counter: "OpCounts | None" = None):
+    """A(i, x) = floor(1 / (1 + floor(S(i) / (x+1)))) of one S(i) or an array of them."""
+    a = 1 // (1 + prefix // checked_add(x, 1))
+    if counter is not None:  # two floors and two additions (x+1 and 1+q) per element
+        counter.step_floors += 2 * np.size(a)
+        counter.additions += 2 * np.size(a)
+    return a
+
+
 def step(s: int, x: int, *, counter: "OpCounts | None" = None) -> int:
     """Folded step floor(1 / (1 + floor(s / (x+1)))); equals 1 iff s <= x."""
-    s = as_nat(s, "s")
-    x = as_nat(x, "x")
-    q = s // checked_add(x, 1)
-    a = 1 // checked_add(1, q)
-    if counter is not None:
-        counter.step_floors += 2
-        counter.additions += 2
-    return a
+    checked_add(1, as_nat(s, "s") // checked_add(as_nat(x, "x"), 1))  # 1 + q stays in range
+    return _steps(s, x, counter)

@@ -19,12 +19,12 @@ it.  Both modes step whole blocks of i as arrays and differ only in S(i):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _STORES, IndicatorVariant, admit, closed_form_incremental
+from .core import _STORES, IndicatorVariant, _steps, admit, closed_form_incremental
 from .nat import DomainError, as_nat, checked_add
 from .oracle import sieve_for_nth
 from .schedules import Schedule, p_lower, schedule_limit, u_lin
@@ -42,29 +42,33 @@ class TraceRow(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRecord:
-    """Per-i breakdown of one enumerator run."""
+    """Per-i breakdown of one enumerator run: I(i), S(i) and A(i, x) as arrays over i = 1..limit."""
 
     x: int
     schedule_used: Schedule
     limit: int
-    rows: Tuple[TraceRow, ...]
+    indicators: np.ndarray = field(repr=False)
+    prefix: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
     result: int
+
+    @property
+    def rows(self) -> Tuple[TraceRow, ...]:
+        """One (i, I(i), S(i), A(i, x)) row per i."""
+        arrays = (self.indicators.tolist(), self.prefix.tolist(), self.steps.tolist())
+        return tuple(map(TraceRow, range(1, self.limit + 1), *arrays))
 
     @property
     def flip_index(self) -> int:
         """First i with step 0, or limit + 1 when every row steps 1."""
-        return next((row.i for row in self.rows if row.step == 0), self.limit + 1)
+        zero = self.steps == 0
+        return int(zero.argmax()) + 1 if zero.any() else self.limit + 1
 
 
 class PostconditionError(RuntimeError):
     """A computed result failed a check that must hold for every valid input."""
-
-
-def _steps(prefix: np.ndarray, x: int) -> np.ndarray:
-    """A(i, x) = floor(1 / (1 + floor(S(i) / (x+1)))) over an array of S(i)."""
-    return 1 // (1 + prefix // checked_add(x, 1))
 
 
 def evaluate(
@@ -111,13 +115,9 @@ def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
     admit(closed_form_incremental(max(limit, 2)), f"tracing x = {x} to U = {limit}")
     store = _STORES[IndicatorVariant.GCD]
     store.fill(limit)
-    ind = store.ind[1 : limit + 1]
-    prefix = store.pre[1 : limit + 1]
+    ind, prefix = store.ind[1 : limit + 1].copy(), store.pre[1 : limit + 1].copy()  # not views
     a = _steps(prefix, x)
-    rows = tuple(map(TraceRow, range(1, limit + 1), ind.tolist(), prefix.tolist(), a.tolist()))
-    return TraceRecord(
-        x=x, schedule_used=schedule, limit=limit, rows=rows, result=checked_add(1, int(a.sum()))
-    )
+    return TraceRecord(x, schedule, limit, ind, prefix, a, checked_add(1, int(a.sum())))
 
 
 def record_lift(L: int, schedule: Schedule = Schedule.LINLOG) -> int:

@@ -24,7 +24,6 @@ class SieveTable:
     limit: int
     flags: np.ndarray = field(repr=False)
     prime_list: np.ndarray = field(repr=False)
-    pi_prefix: np.ndarray = field(repr=False)
 
     @property
     def prime_count(self) -> int:
@@ -41,7 +40,7 @@ class SieveTable:
         m = as_nat(m, "m")
         if m > self.limit:
             raise RangeError(f"m={m} exceeds sieve limit {self.limit}")
-        return int(self.pi_prefix[m])
+        return int(np.searchsorted(self.prime_list, m, side="right"))
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (p_1 = 2)."""
@@ -65,9 +64,8 @@ def build_sieve(limit: int) -> SieveTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    prime_list = np.flatnonzero(flags).astype(np.int64)
-    pi_prefix = np.cumsum(flags, dtype=np.int64)
-    return SieveTable(limit=limit, flags=flags, prime_list=prime_list, pi_prefix=pi_prefix)
+    prime_list = np.flatnonzero(flags).astype(np.int64, copy=False)
+    return SieveTable(limit=limit, flags=flags, prime_list=prime_list)
 
 
 def sieve_for_nth(n: int) -> SieveTable:

@@ -12,6 +12,10 @@ u_lin uses double-precision logarithms and an exact ceiling.  The budget
 admits `evaluate` only for x <= 4,853 and its count never decreases in x
 (tested to 10^6), so validate_schedule's sieve check of u_lin on [0, 10^4]
 covers every admitted x; a sieve test holds Dusart's p_lower there too.
+
+The sieve sweeps run over arrays of x, with math.log on each element: numpy's
+SIMD log may differ in the last ulp between builds and move a ceiling.  A
+float margin within 4 ulps of its bound counts as a violation, not as proof.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import enum
 import math
 from typing import Optional
+
+import numpy as np
 
 from .nat import NAT_MAX, RangeError, as_nat, checked_add, checked_mul
 from .oracle import SieveTable, sieve_for_nth
@@ -39,11 +45,20 @@ def u_sq(x: int) -> int:
     return checked_mul(n, n)
 
 
+def _log(v):
+    """math.log of a float, or of each element of a float array."""
+    return np.fromiter(map(math.log, v), float) if np.ndim(v) else math.log(v)
+
+
+def _lin_bound(x):
+    """(x+1)(ln(x+e) + ln ln(x+e)) for a natural x, or for each x of an int64 array."""
+    inner = _log(x + math.e)
+    return (x + 1) * (inner + _log(inner))
+
+
 def u_lin(x: int) -> int:
     """ceil((x+1) * (ln(x+e) + ln ln(x+e))) + 10."""
-    x = as_nat(x, "x")
-    inner = math.log(x + math.e)
-    value = math.ceil((x + 1) * (inner + math.log(inner))) + 10
+    value = math.ceil(_lin_bound(as_nat(x, "x"))) + 10
     if value > NAT_MAX:
         raise OverflowError(f"u_lin({x}) exceeds the 64-bit natural range")
     return value
@@ -91,30 +106,31 @@ def validate_schedule(
 ) -> BoundsReport:
     """Certify the defining inequality of `kind` on [0, x_max] via the sieve.
 
-    Square/Linlog rows require U(x) >= p_{x+1} - 1; Willans rows require the
-    stronger W(x) >= p_{x+1} (checked in log2 space past the exact range).
+    Square/Linlog rows require U(x) >= p_{x+1} - 1, checked over arrays;
+    Willans rows require the stronger W(x) >= p_{x+1}, one x at a time
+    (checked in log2 space past the exact range).
     """
     x_max = as_nat(x_max, "x_max")
     if table is None:
         table = sieve_for_nth(x_max + 1)
-    violations = []
-    min_slack: Optional[float] = None  # not reported for Willans (mixed units)
-    for x in range(x_max + 1):
-        p = table.nth_prime(x + 1)
-        if kind is Schedule.WILLANS:
-            if x <= WILLANS_EXACT_MAX_X:
-                if w_willans_exact(x) < p:
-                    violations.append((x, float(w_willans_exact(x)), float(p)))
-            elif not _willans_covers(x, p):
-                # log2-space row: exponent vs. integer log of p
-                violations.append((x, float(x + 1), float(p.bit_length())))
+    table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
+    need = table.prime_list[: x_max + 1] - 1
+    violations, min_slack = [], None  # no min_slack for Willans (mixed units)
+    if kind is Schedule.WILLANS:
+        for x, p in enumerate((need + 1).tolist()):
+            if x <= WILLANS_EXACT_MAX_X and w_willans_exact(x) < p:
+                violations.append((x, float(w_willans_exact(x)), float(p)))
+            elif x > WILLANS_EXACT_MAX_X and not _willans_covers(x, p):  # in log2 space
+                violations.append((x, float(x + 1), float(p.bit_length())))  # exponent, bits of p
+    else:
+        xs = np.arange(x_max + 1)
+        if kind is Schedule.SQUARE:  # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
+            limits = (xs + 1) ** 2
         else:
-            limit = schedule_limit(kind, x)
-            slack = float(limit - (p - 1))
-            if limit < p - 1:
-                violations.append((x, float(limit), float(p - 1)))
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
+            limits = np.ceil(_lin_bound(xs)).astype(np.int64) + 10
+        slack = limits - need
+        violations = [(int(x), float(limits[x]), float(need[x])) for x in np.flatnonzero(slack < 0)]
+        min_slack = float(slack.min())
     return BoundsReport(
         f"schedule-{kind.value}-covers-next-prime", (0, x_max), tuple(violations), min_slack
     )
@@ -136,7 +152,7 @@ def square_schedule_base_cases(table: Optional[SieveTable] = None) -> BoundsRepo
 def check_lin_growth_bound(
     x_max: int, table: Optional[SieveTable] = None
 ) -> BoundsReport:
-    """p_{x+1} <= (x+1)(ln(x+e) + ln ln(x+e)) with positive margin, x in [5, x_max].
+    """p_{x+1} < (x+1)(ln(x+e) + ln ln(x+e)) by over 4 ulps, x in [5, x_max].
 
     This is the real-valued middle link that justifies u_lin; below x=5 only
     the +10 slack carries the schedule, so the sweep starts at 5.
@@ -144,15 +160,12 @@ def check_lin_growth_bound(
     x_max = as_nat(x_max, "x_max")
     if table is None:
         table = sieve_for_nth(x_max + 1)
-    violations = []
-    min_margin: Optional[float] = None
-    for x in range(5, x_max + 1):
-        p = table.nth_prime(x + 1)
-        inner = math.log(x + math.e)
-        bound = (x + 1) * (inner + math.log(inner))
-        margin = bound - p
-        if margin <= 0.0:
-            violations.append((x, bound, float(p)))
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-    return BoundsReport("lin-schedule-real-bound", (5, x_max), tuple(violations), min_margin)
+    if x_max >= 5:
+        table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
+    p = table.prime_list[5 : x_max + 1]
+    bound = _lin_bound(np.arange(5, x_max + 1))
+    margin = bound - p
+    tight = np.flatnonzero(margin <= 4 * np.spacing(bound))
+    violations = tuple((int(i) + 5, float(bound[i]), float(p[i])) for i in tight)
+    min_margin = float(margin.min()) if margin.size else None
+    return BoundsReport("lin-schedule-real-bound", (5, x_max), violations, min_margin)

@@ -1,5 +1,6 @@
 """Signature separation, schedule divergence, minimality, axiom conformance."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from primefold import (
     signature,
     u_lin,
 )
+from primefold import analysis
 
 
 def test_signature_constants():
@@ -79,3 +81,42 @@ def test_forward_count_axiom(small_sieve):
 def test_forward_count_axiom_trace_guard():
     with pytest.raises(RangeError):
         check_forward_count_axiom(201)
+
+
+def test_forward_count_axiom_reports_each_kind_of_bad_trace(monkeypatch, small_sieve):
+    real = analysis.trace
+
+    def doctored(x, schedule):
+        record = real(x, schedule)
+        steps = record.steps.copy()
+        if x == 1:
+            steps[0] = 2  # not a {0, 1} value
+        elif x == 2:
+            steps[-1] = 1  # rises again after the flip at p_3 = 5
+        elif x == 3:
+            steps[5] = 0  # flips at i = 6, before p_4 = 7
+        return dataclasses.replace(record, steps=steps)
+
+    monkeypatch.setattr(analysis, "trace", doctored)
+    report = check_forward_count_axiom(10, small_sieve)
+    assert report.violations == ((1, 2.0, 0.0), (2, -1.0, 5.0), (3, 6.0, 7.0))
+
+
+def test_minimality_margin_of_one_ulp_is_a_violation(monkeypatch, small_sieve):
+    real = analysis.p_lower
+    lower = math.nextafter(12.0, 0.0)  # one ulp below p_6 - 1 = 12, the left side at x = 5
+    tight = math.nextafter(13.0, 0.0)  # the same binade, so tight - 1.0 == lower exactly
+    monkeypatch.setattr(analysis, "p_lower", lambda n: tight if n == 6 else real(n))
+    assert tight - 1.0 == lower and 12.0 - lower == math.ulp(lower)
+    report = check_minimality(50, small_sieve)
+    assert report.violations == ((5, 12.0, lower),)
+
+
+def test_divergence_gap_of_one_ulp_is_a_violation(monkeypatch):
+    real = analysis._log_ratio
+    r19 = real(19)
+    r20 = math.nextafter(r19, math.inf)  # r(20) - r(19) is one ulp of r(19)
+    monkeypatch.setattr(analysis, "_log_ratio", lambda x: r20 if x == 20 else real(x))
+    report = check_schedule_divergence(100)
+    assert report.violations == ((20, r20, r19),)
+    assert report.min_slack == math.ulp(r19) > 0.0

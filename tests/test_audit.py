@@ -13,12 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primefold import (
+    NAT_MAX,
     AuditRow,
     DomainError,
     EvalMode,
     IndicatorVariant,
     OpCounts,
     RangeError,
+    audit,
     audit_range,
     closed_form_incremental,
     closed_form_naive,
@@ -257,3 +259,26 @@ def test_audit_range_guards():
     # incremental-only rows past U = 2000 are well inside the budget
     rows = audit_range(2040, 2042, modes=(EvalMode.INCREMENTAL,))
     assert all(row.match for row in rows)
+
+
+@pytest.mark.parametrize("mode", [EvalMode.NAIVE, EvalMode.INCREMENTAL])
+def test_counted_runs_step_every_prefix_in_one_array_fold(monkeypatch, mode):
+    folds = []
+    real = audit._steps
+
+    def recording(prefix, x, counter=None):
+        folds.append(list(prefix))
+        return real(prefix, x, counter)
+
+    monkeypatch.setattr(audit, "_steps", recording)
+    value, counts = run_counted(3, 12, mode)
+    assert folds == [[0, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5, 5]]  # S(1..12)
+    assert value == 7 and counts.step_floors == 24
+
+
+@pytest.mark.parametrize("x", [2**63, NAT_MAX - 1])
+def test_counted_step_divides_by_any_64_bit_x_plus_1(x):
+    for mode in (EvalMode.NAIVE, EvalMode.INCREMENTAL):
+        assert run_counted(x, 10, mode)[0] == 11  # every S(i) <= x: all ten steps are 1
+    with pytest.raises(OverflowError):
+        run_counted(NAT_MAX, 10)  # x + 1 leaves the range

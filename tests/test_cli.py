@@ -60,6 +60,16 @@ def test_table_matches_golden_file(capsys):
     assert out == (GOLDEN_DIR / "table_max19.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (("validate", "--max", "2000"), "validate_max2000.json"),
+    (("compare", "--max", "800"), "compare_max800.json"),
+])
+def test_sweeps_match_golden_files(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
 def test_table_outputs_first_twenty_primes(capsys):
     code, out, _ = run_cli(capsys, "table", "--max", "19", "--json")
     doc = json.loads(out)

@@ -7,6 +7,7 @@ gcd/floor indicator and the sieve module.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -260,3 +261,10 @@ def test_step_overflow_at_the_nat_boundary():
         step(0, NAT_MAX)  # x + 1 leaves the range
     with pytest.raises(OverflowError):
         step(NAT_MAX, 0)  # 1 + floor(s/1) leaves the range
+
+
+def test_array_steps_count_two_floors_and_two_additions_per_element():
+    counter = OpCounts()
+    assert core._steps(np.array([0, 3, 4, 9]), 3, counter).tolist() == [1, 1, 0, 0]
+    assert (counter.step_floors, counter.additions) == (8, 8)
+    assert core._steps(np.array([0, 3, 4, 9]), 3).tolist() == [step(s, 3) for s in (0, 3, 4, 9)]

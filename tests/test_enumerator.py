@@ -3,6 +3,7 @@
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +15,17 @@ from primefold import (
     PostconditionError,
     RangeError,
     Schedule,
+    TraceRecord,
     TraceRow,
     core,
     enumerator,
     evaluate,
+    indicator,
     prefix_count,
     record_lift,
     run_counted,
+    schedule_limit,
+    step,
     trace,
 )
 from primefold.schedules import p_lower
@@ -200,3 +205,39 @@ def test_modes_agree_on_small_x(x):
     reference = evaluate(x, Schedule.LINLOG, EvalMode.INCREMENTAL)
     for schedule in SCHEDULES:
         assert evaluate(x, schedule, EvalMode.NAIVE) == reference
+
+
+def scalar_rows_and_flip(x, schedule):
+    """Reference: the trace rows and flip index, one i at a time from the scalar entry points."""
+    limit = schedule_limit(schedule, x)
+    rows = tuple(
+        TraceRow(i, indicator(i) if i >= 2 else 0, prefix_count(i), step(prefix_count(i), x))
+        for i in range(1, limit + 1)
+    )
+    return rows, next((row.i for row in rows if row.step == 0), limit + 1)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 9, 40])
+def test_trace_record_rows_and_flip_equal_the_tuple_construction(x, schedule):
+    record = trace(x, schedule)
+    rows, flip = scalar_rows_and_flip(x, schedule)
+    assert record.rows == rows
+    assert all(type(value) is int for row in record.rows for value in row)
+    assert record.flip_index == flip
+
+
+def test_flip_index_without_a_zero_step_is_limit_plus_one():
+    ones = np.ones(3, np.int64)
+    record = TraceRecord(5, Schedule.SQUARE, 3, np.zeros(3, np.int8), ones, ones, 4)
+    assert record.flip_index == 4
+    assert [row.step for row in record.rows] == [1, 1, 1]
+    assert trace(0, Schedule.SQUARE).flip_index == 2  # the one real trace with no zero step
+
+
+def test_trace_record_arrays_are_not_views_of_the_store():
+    record = trace(3, Schedule.SQUARE)
+    record.indicators[:] = 0
+    record.prefix[:] = 0
+    assert prefix_count(16) == 6
+    assert trace(3, Schedule.SQUARE).flip_index == 7

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,3 +100,10 @@ def test_sieve_for_nth_always_covers(n):
 @given(st.integers(min_value=1, max_value=300))
 def test_nth_prime_matches_trial_division(small_sieve, n):
     assert small_sieve.nth_prime(n) == nth_prime_trial(n)
+
+
+def test_pi_equals_the_running_count_of_flags_on_the_whole_table(small_sieve):
+    t = small_sieve
+    assert [t.pi(m) for m in range(t.limit + 1)] == np.cumsum(t.flags).tolist()
+    assert t.pi(t.limit) == t.prime_count and t.pi(0) == 0
+    assert not hasattr(t, "pi_prefix")  # pi reads the prime list; no per-integer array is kept

@@ -30,7 +30,9 @@ from primefold import (
     w_willans_exact,
     w_willans_log2,
 )
+from primefold import schedules
 from primefold.core import MAX_DIVISOR_TESTS
+from primefold.oracle import SieveTable
 from primefold.schedules import p_lower
 
 U_LIN_GOLDEN = {0: 11, 1: 14, 2: 16, 3: 20, 4: 23, 5: 27, 9: 44, 10: 49, 10_000: 114_332}
@@ -150,3 +152,104 @@ def test_admitted_evaluations_are_a_prefix_of_x():
         evaluate(4_854)
     predicted = list(map(closed_form_incremental, map(u_lin, range(10**6 + 1))))
     assert all(a <= b for a, b in zip(predicted, predicted[1:]))
+
+
+# ------------------------------------------ array sweeps vs. scalar reference
+
+
+def scalar_covers_reference(kind, x_max, table):
+    """Reference: validate_schedule's square and lin rows, one x at a time."""
+    violations, min_slack = [], None
+    for x in range(x_max + 1):
+        p = table.nth_prime(x + 1)
+        if kind is Schedule.SQUARE:
+            limit = (x + 1) ** 2
+        else:
+            inner = math.log(x + math.e)
+            limit = math.ceil((x + 1) * (inner + math.log(inner))) + 10
+        if limit < p - 1:
+            violations.append((x, float(limit), float(p - 1)))
+        slack = float(limit - (p - 1))
+        min_slack = slack if min_slack is None else min(min_slack, slack)
+    return tuple(violations), min_slack
+
+
+def scalar_lin_growth_reference(x_max, table):
+    """Reference: check_lin_growth_bound, one x at a time."""
+    violations, min_margin = [], None
+    for x in range(5, x_max + 1):
+        p = table.nth_prime(x + 1)
+        inner = math.log(x + math.e)
+        bound = (x + 1) * (inner + math.log(inner))
+        margin = bound - p
+        if margin <= 4 * math.ulp(bound):
+            violations.append((x, bound, float(p)))
+        min_margin = margin if min_margin is None else min(min_margin, margin)
+    return tuple(violations), min_margin
+
+
+def doctored(table, bumps):
+    """`table` with p_{x+1} moved by `bumps[x]`: violations the sweeps must find."""
+    primes = table.prime_list.copy()
+    for x, bump in bumps.items():
+        primes[x] += bump
+    return SieveTable(limit=table.limit, flags=table.flags, prime_list=primes)
+
+
+DOCTORINGS = [
+    {},
+    {0: 40, 3: 10**6, 5: 400, 6: 2, 17: -3, 250: 10**7, 299: 5_000, 4_000: 10**9},
+    # p_{x+1} - 1 lands on u_lin(x) at x = 4 and 300, and one past it at x = 5 and 5000
+    {4: 13, 5: 16, 300: 263, 5_000: 4_704},
+]
+
+
+def assert_plain_rows(violations):
+    assert all(type(x) is int and type(a) is float and type(b) is float for x, a, b in violations)
+
+
+@pytest.mark.parametrize("bumps", DOCTORINGS)
+@pytest.mark.parametrize("x_max", [0, 4, 5, 6, 300, 5_000])
+def test_array_sweeps_equal_the_scalar_loops(big_sieve, x_max, bumps):
+    table = doctored(big_sieve, bumps)
+    for kind in (Schedule.SQUARE, Schedule.LINLOG):
+        report = validate_schedule(kind, x_max, table)
+        assert (report.violations, report.min_slack) == scalar_covers_reference(kind, x_max, table)
+        assert type(report.min_slack) is float
+        assert_plain_rows(report.violations)
+    report = check_lin_growth_bound(x_max, table)
+    assert (report.violations, report.min_slack) == scalar_lin_growth_reference(x_max, table)
+    assert_plain_rows(report.violations)
+
+
+def test_doctored_tables_inject_violations(big_sieve):
+    table = doctored(big_sieve, DOCTORINGS[1])
+    sq = validate_schedule(Schedule.SQUARE, 5_000, table).violations
+    assert [v[0] for v in sq] == [0, 3, 5, 250, 4_000]
+    lin = validate_schedule(Schedule.LINLOG, 5_000, table).violations
+    assert [v[0] for v in lin] == [0, 3, 5, 250, 299, 4_000]
+    assert [v[0] for v in check_lin_growth_bound(5_000, table).violations] == [5, 250, 299, 4_000]
+    edge = validate_schedule(Schedule.LINLOG, 5_000, doctored(big_sieve, DOCTORINGS[2]))
+    assert edge.violations == ((5, 27.0, 28.0), (5_000, 53_321.0, 53_322.0))
+    assert edge.min_slack == -1.0
+
+
+def test_lin_growth_bound_rejects_a_short_table():
+    with pytest.raises(RangeError):
+        check_lin_growth_bound(100, build_sieve(50))
+    assert check_lin_growth_bound(4, build_sieve(2)).min_slack is None  # empty range, no lookup
+
+
+def test_lin_growth_margin_of_one_ulp_is_a_violation(monkeypatch, small_sieve):
+    real = schedules._lin_bound
+    p6 = float(small_sieve.nth_prime(6))  # p_{x+1} at x = 5
+
+    def tight(xs):
+        bound = real(xs)
+        bound[xs == 5] = math.nextafter(p6, math.inf)  # margin: one ulp of the bound
+        return bound
+
+    monkeypatch.setattr(schedules, "_lin_bound", tight)
+    report = check_lin_growth_bound(300, small_sieve)
+    assert report.min_slack == math.ulp(p6) > 0.0
+    assert report.violations == ((5, math.nextafter(p6, math.inf), p6),)
