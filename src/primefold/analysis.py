@@ -24,6 +24,7 @@ from .reports import BoundsReport
 from .schedules import Schedule, p_lower, u_lin
 
 FORWARD_AXIOM_X_MAX = 200  # trace-backed check; keep the row volume bounded
+DIVERGENCE_X_MIN = 10  # r(x) is swept from here on
 
 
 class SignatureFamily(enum.Enum):
@@ -92,7 +93,7 @@ def check_schedule_divergence(x_max: int) -> BoundsReport:
     x_max >= 60.  min_slack is the smallest consecutive increase.
     """
     x_max = as_nat(x_max, "x_max")
-    if x_max < 10:
+    if x_max < DIVERGENCE_X_MIN:
         raise DomainError(f"check_schedule_divergence requires x_max >= 10, got {x_max}")
     r = [0.0] + [_log_ratio(x) for x in range(1, x_max + 1)]
     violations = []

@@ -116,6 +116,18 @@ def run_counted(
     return checked_add(1, total), counter
 
 
+def admit_audit(
+    u_min: int, u_max: int, modes: Sequence[EvalMode] = (EvalMode.NAIVE, EvalMode.INCREMENTAL)
+) -> Tuple[int, int]:
+    """Check the range [u_min, u_max] and admit its audit under `modes`; no scan runs."""
+    u_min = as_nat(u_min, "u_min")
+    u_max = as_nat(u_max, "u_max")
+    if not 2 <= u_min <= u_max:
+        raise DomainError(f"audit_range requires 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
+    admit(sum(summed_tests(u_min, u_max, m) for m in modes), f"audit of U in [{u_min}, {u_max}]")
+    return u_min, u_max
+
+
 def audit_range(
     u_min: int,
     u_max: int,
@@ -128,11 +140,7 @@ def audit_range(
     x is pinned to pi(U) so the step never flips inside [1, U] and the
     closed forms apply to full loops.
     """
-    u_min = as_nat(u_min, "u_min")
-    u_max = as_nat(u_max, "u_max")
-    if not 2 <= u_min <= u_max:
-        raise DomainError(f"audit_range requires 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
-    admit(sum(summed_tests(u_min, u_max, m) for m in modes), f"audit of U in [{u_min}, {u_max}]")
+    u_min, u_max = admit_audit(u_min, u_max, modes)
     if table is None or table.limit < u_max:
         table = build_sieve(max(u_max, 2))
     rows = []

@@ -19,13 +19,14 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .analysis import (
+    DIVERGENCE_X_MIN,
     FORWARD_AXIOM_X_MAX,
     check_forward_count_axiom,
     check_minimality,
     check_schedule_divergence,
     check_signature_separation,
 )
-from .audit import audit_range
+from .audit import admit_audit, audit_range
 from .core import IndicatorVariant
 from .enumerator import EvalMode, PostconditionError, evaluate, record_lift, trace
 from .nat import DomainError, RangeError
@@ -210,10 +211,12 @@ def _cmd_compare(args) -> Tuple[ReportDocument, str]:
 
 def _cmd_verify(args) -> Tuple[ReportDocument, str]:
     n, sweep = args.max, args.sweep_max
-    for variant in IndicatorVariant:  # admits the sweeps before any report runs
+    if n < DIVERGENCE_X_MIN:  # every input is checked before any report or scan runs
+        raise DomainError(f"verify requires --max >= {DIVERGENCE_X_MIN}, got {n}")
+    admit_audit(2, args.audit_max)
+    for variant in IndicatorVariant:  # admits the sweeps, then runs them
         evaluate(sweep, variant=variant)
     table = sieve_for_nth(max(n, sweep) + 1)
-    # the cheap claims run next, so that a bad --max is rejected before the audit
     reports = [
         *_validate_reports(n, table),
         validate_schedule(Schedule.WILLANS, min(n, 200), table),

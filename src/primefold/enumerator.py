@@ -3,13 +3,14 @@
 Because S(i) = pi(i) is nondecreasing, the step A(i, x) = 1{pi(i) <= x} is a
 nonincreasing {0,1} sequence that flips exactly at i = p_{x+1}.  With any
 valid schedule (U(x) >= p_{x+1} - 1) the sum therefore counts p_{x+1} - 1
-ones.  `evaluate` exploits the flip: once A reaches 0 the remaining terms
-are identically zero, so the loop stops there with the sum unchanged.
-Audited runs (see `audit`) and `trace` always sweep the full range.
+ones.  `evaluate` exploits the flip: it scans the store no further than the
+block that holds it, since every term past it is zero.  Audited runs (see
+`audit`) and `trace` always sweep the full range.
 
 From x = 5 on, `evaluate` fills the core store in one wide scan up to
-floor(p_lower(x+1)) < p_{x+1} (Dusart's bound), then a block at a time past
-it.  Both modes step whole blocks of i as arrays and differ only in S(i):
+floor(p_lower(x+1)) < p_{x+1} (Dusart's bound), then a block at a time until
+the store holds the flip; then one fold runs over i in [1, min(U, n)].  The
+modes differ only in S(i):
 
 * INCREMENTAL reads the carried S(i),
 * NAIVE re-sums I(2..i) from scratch for every i, one numpy sum each
@@ -89,23 +90,14 @@ def evaluate(
     store = _STORES[variant]
     if x >= 5:  # one wide scan up to Dusart's floor, which lies before the flip p_{x+1}
         store.fill(min(int(p_lower(x + 1)), limit))
-    total = 0
-    lo = 1
-    while lo <= limit:
-        if lo > store.n:
-            store.grow()
-        hi = min(limit, store.n)
-        if mode is EvalMode.NAIVE:
-            prefix = np.array([store.ind[2 : i + 1].sum() for i in range(lo, hi + 1)])
-        else:
-            prefix = store.pre[lo : hi + 1]
-        a = _steps(prefix, x)
-        flip = int(a.argmin())
-        if a[flip] == 0:
-            return checked_add(1, total + int(a[:flip].sum()))
-        total += int(a.sum())
-        lo = hi + 1
-    return checked_add(1, total)
+    while store.n < limit and _steps(store.pre[store.n], x):  # A(n, x) = 1: the flip lies past n
+        store.grow()
+    hi = min(limit, store.n)
+    if mode is EvalMode.NAIVE:
+        prefix = np.array([store.ind[2 : i + 1].sum() for i in range(1, hi + 1)])
+    else:
+        prefix = store.pre[1 : hi + 1]
+    return checked_add(1, int(_steps(prefix, x).sum()))  # every term past the flip is 0
 
 
 def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:

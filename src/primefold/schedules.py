@@ -93,12 +93,8 @@ def schedule_limit(kind: Schedule, x: int) -> int:
 
 
 def _willans_covers(x: int, p: int) -> bool:
-    # exact integer test of p <= 2^(x+1) in log2 space
-    m = x + 1
-    bits = p.bit_length()
-    if bits <= m:
-        return True
-    return bits == m + 1 and p & (p - 1) == 0
+    """p <= 2^(x+1), exactly, for a natural p >= 1: p - 1 < 2^(x+1) has at most x+1 bits."""
+    return (p - 1).bit_length() <= x + 1
 
 
 def validate_schedule(
@@ -107,21 +103,19 @@ def validate_schedule(
     """Certify the defining inequality of `kind` on [0, x_max] via the sieve.
 
     Square/Linlog rows require U(x) >= p_{x+1} - 1, checked over arrays;
-    Willans rows require the stronger W(x) >= p_{x+1}, one x at a time
-    (checked in log2 space past the exact range).
+    Willans rows require the stronger W(x) >= p_{x+1}, one x at a time,
+    tested exactly on the bit length of p.
     """
     x_max = as_nat(x_max, "x_max")
     if table is None:
         table = sieve_for_nth(x_max + 1)
     table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
     need = table.prime_list[: x_max + 1] - 1
-    violations, min_slack = [], None  # no min_slack for Willans (mixed units)
-    if kind is Schedule.WILLANS:
+    violations, min_slack = [], None
+    if kind is Schedule.WILLANS:  # rows hold the exponent x + 1 and the bits of p
         for x, p in enumerate((need + 1).tolist()):
-            if x <= WILLANS_EXACT_MAX_X and w_willans_exact(x) < p:
-                violations.append((x, float(w_willans_exact(x)), float(p)))
-            elif x > WILLANS_EXACT_MAX_X and not _willans_covers(x, p):  # in log2 space
-                violations.append((x, float(x + 1), float(p.bit_length())))  # exponent, bits of p
+            if not _willans_covers(x, p):
+                violations.append((x, float(x + 1), float(p.bit_length())))
     else:
         xs = np.arange(x_max + 1)
         if kind is Schedule.SQUARE:  # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2

@@ -63,6 +63,9 @@ def test_table_matches_golden_file(capsys):
 @pytest.mark.parametrize("argv,golden", [
     (("validate", "--max", "2000"), "validate_max2000.json"),
     (("compare", "--max", "800"), "compare_max800.json"),
+    (("audit", "--u-max", "30", "--variant", "delta"), "audit_umax30_delta.json"),
+    (("trace", "40", "--schedule", "sq"), "trace40_sq.json"),
+    (("verify", "--max", "300", "--sweep-max", "40", "--audit-max", "30"), "verify_max300.json"),
 ])
 def test_sweeps_match_golden_files(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv, "--json")
@@ -102,8 +105,11 @@ def _no_scan(*args, **kwargs):
     (("audit", "--u-max", "500"),
      sum(closed_form_naive(u) + closed_form_incremental(u) for u in range(2, 501))),
     (("verify", "--sweep-max", "100000"), closed_form_incremental(u_lin(100_000))),
+    (("verify", "--audit-max", "423"),
+     sum(closed_form_naive(u) + closed_form_incremental(u) for u in range(2, 424))),
 ])
 def test_over_budget_input_exits_3_before_any_scan(monkeypatch, capsys, argv, predicted):
+    core._reset_stores()  # a warm store would hide a scan that runs before the rejection
     monkeypatch.setattr(core, "_scan_hits", _no_scan)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
@@ -288,6 +294,19 @@ def test_verify_violation_exits_1(monkeypatch, capsys):
 ])
 def test_verify_bad_input_exits_2(capsys, flags):
     assert run_cli(capsys, "verify", *flags)[0] == 2
+
+
+@pytest.mark.parametrize("flags", [("--max", "1000000", "--audit-max", "1"), ("--max", "5")])
+def test_verify_rejects_bad_input_before_any_report_or_scan(monkeypatch, capsys, flags):
+    import primefold.cli as cli
+
+    monkeypatch.setattr(core, "_scan_hits", _no_scan)
+    for name in ("evaluate", "record_lift", "sieve_for_nth", "audit_range", "validate_schedule",
+                 "_validate_reports", "_compare_reports"):
+        monkeypatch.setattr(cli, name, _no_scan)
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert (code, out) == (2, "")
+    assert "error: " in err
 
 
 def test_violation_status_maps_to_exit_1(monkeypatch, capsys):

@@ -99,6 +99,43 @@ def test_cold_evaluate_scans_to_dusarts_floor_in_one_call_then_in_blocks(monkeyp
         assert sum(j - 2 for j in range(lo, hi + 1)) <= core._BLOCK_TESTS
 
 
+def record_scans(monkeypatch):
+    """Patch the kernel to log the (lo, hi) of every scan; return that log."""
+    calls = []
+    scan = core._scan_hits
+
+    def recording(lo, hi, variant, counter=None):
+        calls.append((lo, hi))
+        return scan(lo, hi, variant, counter)
+
+    monkeypatch.setattr(core, "_scan_hits", recording)
+    return calls
+
+
+# a cold store's scans, one list per x: the prefill to Dusart's floor from x = 5 on, then blocks
+COLD_SCANS = {0: [], 4: [(2, 363)], 5: [(2, 8), (9, 363)], 100: [(2, 519), (520, 633)]}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("x", sorted(COLD_SCANS))
+def test_cold_evaluate_makes_the_recorded_scans(monkeypatch, small_sieve, x, mode, variant):
+    calls = record_scans(monkeypatch)
+    core._reset_stores()
+    assert evaluate(x, Schedule.SQUARE, mode, variant) == small_sieve.nth_prime(x + 1)
+    assert calls == COLD_SCANS[x]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_on_a_store_past_the_limit_scans_nothing(monkeypatch, small_sieve, mode):
+    core._reset_stores()
+    prefix_count(schedule_limit(Schedule.SQUARE, 100) + 1)
+    calls = record_scans(monkeypatch)
+    assert evaluate(100, Schedule.SQUARE, mode) == small_sieve.nth_prime(101)
+    assert evaluate(4, Schedule.LINLOG, mode) == 11
+    assert calls == []
+
+
 def test_evaluate_skips_the_prefill_below_x_5(monkeypatch, small_sieve):
     def no_floor(n):
         raise AssertionError(f"p_lower({n}) computed")

@@ -253,3 +253,18 @@ def test_lin_growth_margin_of_one_ulp_is_a_violation(monkeypatch, small_sieve):
     report = check_lin_growth_bound(300, small_sieve)
     assert report.min_slack == math.ulp(p6) > 0.0
     assert report.violations == ((5, math.nextafter(p6, math.inf), p6),)
+
+
+def test_willans_rows_hold_the_exponent_and_the_bits_of_p(small_sieve):
+    primes = small_sieve.prime_list.astype(object)  # p past 2^101 needs more than 64 bits
+    primes[10], primes[20], primes[100] = 2**11 + 1, 2**21, 2**101 + 1  # 2^21 still covers
+    table = SieveTable(limit=small_sieve.limit, flags=small_sieve.flags, prime_list=primes)
+    report = validate_schedule(Schedule.WILLANS, 200, table)
+    assert report.violations == ((10, 11.0, 12.0), (100, 101.0, 102.0))
+    assert report.min_slack is None
+
+
+def test_willans_cover_is_the_exact_comparison():
+    for x in range(130):
+        for p in (2, 2 ** (x + 1) - 1, 2 ** (x + 1), 2 ** (x + 1) + 1, 2 ** (x + 2)):
+            assert schedules._willans_covers(x, p) == (p <= 2 ** (x + 1))
