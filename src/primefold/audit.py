@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .core import IndicatorVariant, _indicators, _steps, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat, checked_add
-from .oracle import SieveTable, build_sieve
+from .oracle import build_sieve
 
 
 @dataclass
@@ -133,7 +133,6 @@ def audit_range(
     u_max: int,
     modes: Sequence[EvalMode] = (EvalMode.NAIVE, EvalMode.INCREMENTAL),
     variant: IndicatorVariant = IndicatorVariant.GCD,
-    table: Optional[SieveTable] = None,
 ) -> Tuple[AuditRow, ...]:
     """Audit every U in [u_min, u_max] under the given modes.
 
@@ -141,8 +140,7 @@ def audit_range(
     closed forms apply to full loops.
     """
     u_min, u_max = admit_audit(u_min, u_max, modes)
-    if table is None or table.limit < u_max:
-        table = build_sieve(max(u_max, 2))
+    table = build_sieve(u_max)
     rows = []
     for u in range(u_min, u_max + 1):
         x = table.pi(u)

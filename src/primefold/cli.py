@@ -30,7 +30,7 @@ from .audit import admit_audit, audit_range
 from .core import IndicatorVariant
 from .enumerator import EvalMode, PostconditionError, evaluate, record_lift, trace
 from .nat import DomainError, RangeError
-from .oracle import SieveTable, sieve_for_nth
+from .oracle import SieveTable, sieve_for_nth, sieve_limit_for_nth
 from .reports import BoundsReport
 from .schedules import (
     Schedule,
@@ -214,6 +214,7 @@ def _cmd_verify(args) -> Tuple[ReportDocument, str]:
     if n < DIVERGENCE_X_MIN:  # every input is checked before any report or scan runs
         raise DomainError(f"verify requires --max >= {DIVERGENCE_X_MIN}, got {n}")
     admit_audit(2, args.audit_max)
+    sieve_limit_for_nth(max(n, sweep) + 1)  # an over-limit sieve exits 3 before the sweeps
     for variant in IndicatorVariant:  # admits the sweeps, then runs them
         evaluate(sweep, variant=variant)
     table = sieve_for_nth(max(n, sweep) + 1)

@@ -19,8 +19,8 @@ j's as the vector, so each numpy call divides by one scalar; a narrower one
 runs j-major, one row per j over k = 2, 3, ... in chunks of _CHUNK k's.
 Given an `OpCounts` via `counter`, it reads no store and tallies every row it
 evaluates.  Uncounted runs read a per-variant store of I(j) (int8) and S(j)
-(int64) that the kernel fills: `prefix_count(i)` scans exactly the j <= i
-the store lacks, and `_Store.grow` one block of about _BLOCK_TESTS tests.
+(int64) that the kernel fills: `_Store.fill(m)` scans exactly the j <= m the
+store lacks, so `prefix_count(i)` scans no j past i.
 Entry points, store fills and single-j scans first pass their count of
 divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 """
@@ -38,8 +38,7 @@ from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
 if TYPE_CHECKING:  # pragma: no cover
     from .audit import OpCounts
 
-_CHUNK = 1 << 20
-_BLOCK_TESTS = 1 << 16
+_CHUNK = 1 << 20  # k's per j-major row: bounds a single-j scan's memory
 _SMALL_J = 256  # j's up to here scan as one pass over their (k, j) pairs
 MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
 
@@ -91,8 +90,6 @@ def admit(tests: int, what: str) -> None:
         raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
-# j-major rows (k = 2, 3, ... base; shifted k; two outputs); admit keeps every j below 2^31
-_BUFFERS = np.empty((4, 0), np.uint32)
 _PAIRS = None  # rows k, j and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
 
 
@@ -117,7 +114,7 @@ def _divisor_tests(ks, js, a, b, variant: IndicatorVariant, counter: "OpCounts |
 
 def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
     """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
-    global _PAIRS, _BUFFERS
+    global _PAIRS
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
     first, last = max(lo, 3), min(hi, _SMALL_J)  # j = 2 has no k
     if first <= last:
@@ -138,13 +135,10 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts |
             acc[s:] += _divisor_tests(k, js[s:], a[s:], b[s:], variant, counter)
         hits[first - lo :] = acc
         return hits
-    if _BUFFERS.shape[1] < min(hi - 2, _CHUNK):  # j-major: one row per j, k chunked
-        _BUFFERS = np.empty((4, min(max(hi - 2, 2 * _BUFFERS.shape[1]), _CHUNK)), np.uint32)
-        _BUFFERS[0] = np.arange(2, 2 + _BUFFERS.shape[1])
-    for j in range(first, hi + 1):
+    for j in range(first, hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
         for k0 in range(2, j, _CHUNK):
-            base, ks, a, b = _BUFFERS[:, : min(j - k0, _CHUNK)]
-            ks = base if k0 == 2 else np.add(base, k0 - 2, out=ks)
+            ks = np.arange(k0, min(j, k0 + _CHUNK), dtype=np.uint32)
+            a, b = np.empty((2, ks.size), np.uint32)
             hits[j - lo] += int(_divisor_tests(ks, j, a, b, variant, counter).sum())
     return hits
 
@@ -179,13 +173,6 @@ class _Store:
         self.ind[lo : m + 1] = _indicators(lo, m, self.variant)
         self.pre[lo : m + 1] = self.pre[self.n] + np.cumsum(self.ind[lo : m + 1], dtype=np.int64)
         self.n = m
-
-    def grow(self) -> None:
-        """Scan the next j's past n: at most _BLOCK_TESTS divisor tests, at least one j."""
-        m, tests = self.n + 1, self.n - 1
-        while tests + m - 1 <= _BLOCK_TESTS:  # j = m + 1 runs m - 1 tests
-            m, tests = m + 1, tests + m - 1
-        self.fill(m)
 
 
 _STORES: Dict[IndicatorVariant, _Store] = {}

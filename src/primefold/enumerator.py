@@ -3,14 +3,15 @@
 Because S(i) = pi(i) is nondecreasing, the step A(i, x) = 1{pi(i) <= x} is a
 nonincreasing {0,1} sequence that flips exactly at i = p_{x+1}.  With any
 valid schedule (U(x) >= p_{x+1} - 1) the sum therefore counts p_{x+1} - 1
-ones.  `evaluate` exploits the flip: it scans the store no further than the
-block that holds it, since every term past it is zero.  Audited runs (see
-`audit`) and `trace` always sweep the full range.
+ones.  `evaluate` exploits the flip: it scans no j past p_{x+1}, since every
+term past it is zero.  Audited runs (see `audit`) and `trace` always sweep
+the full range.
 
 From x = 5 on, `evaluate` fills the core store in one wide scan up to
-floor(p_lower(x+1)) < p_{x+1} (Dusart's bound), then a block at a time until
-the store holds the flip; then one fold runs over i in [1, min(U, n)].  The
-modes differ only in S(i):
+floor(p_lower(x+1)) < p_{x+1} (Dusart's bound).  While S(n) <= x it then adds
+the next x + 1 - S(n) j's: S rises by at most 1 per j and S(p_{x+1}) = x + 1,
+so no fill passes the flip, and a cold store ends at n = p_{x+1}.  One fold
+then runs over i in [1, min(U, n)].  The modes differ only in S(i):
 
 * INCREMENTAL reads the carried S(i),
 * NAIVE re-sums I(2..i) from scratch for every i, one numpy sum each
@@ -91,7 +92,7 @@ def evaluate(
     if x >= 5:  # one wide scan up to Dusart's floor, which lies before the flip p_{x+1}
         store.fill(min(int(p_lower(x + 1)), limit))
     while store.n < limit and _steps(store.pre[store.n], x):  # A(n, x) = 1: the flip lies past n
-        store.grow()
+        store.fill(min(store.n + x + 1 - int(store.pre[store.n]), limit))  # at or before the flip
     hi = min(limit, store.n)
     if mode is EvalMode.NAIVE:
         prefix = np.array([store.ind[2 : i + 1].sum() for i in range(1, hi + 1)])

@@ -68,8 +68,8 @@ def build_sieve(limit: int) -> SieveTable:
     return SieveTable(limit=limit, flags=flags, prime_list=prime_list)
 
 
-def sieve_for_nth(n: int) -> SieveTable:
-    """A sieve guaranteed to contain p_n, sized from the n(ln n + ln ln n) bound."""
+def sieve_limit_for_nth(n: int) -> int:
+    """The limit of `sieve_for_nth(n)`, from the n(ln n + ln ln n) bound; builds nothing."""
     n = as_nat(n, "n")
     if n < 1:
         raise DomainError(f"sieve_for_nth requires n >= 1, got {n}")
@@ -77,4 +77,11 @@ def sieve_for_nth(n: int) -> SieveTable:
         limit = 100
     else:
         limit = max(100, math.ceil(n * (math.log(n) + math.log(math.log(n)))) + 16)
-    return build_sieve(limit)
+    if limit > SIEVE_LIMIT_MAX:
+        raise RangeError(f"limit {limit} exceeds the {SIEVE_LIMIT_MAX} memory budget")
+    return limit
+
+
+def sieve_for_nth(n: int) -> SieveTable:
+    """A sieve guaranteed to contain p_n, sized by `sieve_limit_for_nth`."""
+    return build_sieve(sieve_limit_for_nth(n))

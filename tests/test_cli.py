@@ -309,6 +309,18 @@ def test_verify_rejects_bad_input_before_any_report_or_scan(monkeypatch, capsys,
     assert "error: " in err
 
 
+def test_verify_rejects_an_over_limit_sieve_before_any_report_or_scan(monkeypatch, capsys):
+    import primefold.cli as cli
+
+    monkeypatch.setattr(core, "_scan_hits", _no_scan)
+    for name in ("evaluate", "record_lift", "sieve_for_nth", "audit_range", "validate_schedule",
+                 "_validate_reports", "_compare_reports"):
+        monkeypatch.setattr(cli, name, _no_scan)
+    code, out, err = run_cli(capsys, "verify", "--max", "10000000", "--sweep-max", "1500", "--json")
+    assert (code, out) == (3, "")
+    assert "memory budget" in err
+
+
 def test_violation_status_maps_to_exit_1(monkeypatch, capsys):
     # no real claim fails, so force a disagreement through the table path
     import primefold.cli as cli

@@ -178,15 +178,14 @@ def test_indicator_past_the_store_scans_that_j_alone(variant):
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
-def test_store_fills_exactly_the_requested_prefix_and_grows_in_blocks(variant):
+def test_store_fills_exactly_the_requested_prefix(variant):
     core._reset_stores()
     store = core._STORES[variant]
     assert prefix_count(1_000, variant) == 168
     assert store.n == 1_000
     assert prefix_count(500, variant) == 95 and store.n == 1_000
-    store.grow()  # one block past the store: about 2^16 tests, at least one j
-    tests = sum(j - 2 for j in range(1_001, store.n + 1))
-    assert store.n > 1_000 and tests <= core._BLOCK_TESTS < tests + store.n - 1
+    store.fill(1_001)  # one j past the store
+    assert store.n == 1_001
     expected = [1 if is_prime_trial(j) else 0 for j in range(2, store.n + 1)]
     assert store.ind[2 : store.n + 1].tolist() == expected
     assert store.pre[1 : store.n + 1].tolist() == [0, *itertools.accumulate(expected)]

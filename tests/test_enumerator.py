@@ -17,6 +17,7 @@ from primefold import (
     Schedule,
     TraceRecord,
     TraceRow,
+    closed_form_incremental,
     core,
     enumerator,
     evaluate,
@@ -72,58 +73,96 @@ def test_every_path_equals_the_sieve(small_sieve, prefill, x):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_evaluate_scans_at_most_one_block_past_the_flip(small_sieve, mode):
+def test_evaluate_scans_exactly_to_the_flip(small_sieve, mode):
     core._reset_stores()
     p = small_sieve.nth_prime(101)
     assert evaluate(100, Schedule.SQUARE, mode) == p  # limit 101^2 = 10201
-    store = core._STORES[IndicatorVariant.GCD]
-    assert p <= store.n
-    assert sum(j - 2 for j in range(p + 1, store.n + 1)) <= core._BLOCK_TESTS
+    assert core._STORES[IndicatorVariant.GCD].n == p
 
 
-def test_cold_evaluate_scans_to_dusarts_floor_in_one_call_then_in_blocks(monkeypatch):
-    calls = []
+def record_scans(monkeypatch, kernel_variant=None):
+    """Patch the kernel to log the (lo, hi) of every scan; return that log.
 
-    def recording(lo, hi, variant, counter=None):
-        calls.append((lo, hi))
-        return scan(lo, hi, variant, counter)
-
-    scan = core._scan_hits
-    monkeypatch.setattr(core, "_scan_hits", recording)
-    core._reset_stores()
-    assert evaluate(2000, variant=IndicatorVariant.DELTA) == 17_393
-    floor = math.floor(p_lower(2001))
-    assert floor == 17_268 and calls[0] == (2, floor)
-    assert len(calls) > 1 and calls[1][0] == floor + 1
-    for lo, hi in calls[1:]:
-        assert sum(j - 2 for j in range(lo, hi + 1)) <= core._BLOCK_TESTS
-
-
-def record_scans(monkeypatch):
-    """Patch the kernel to log the (lo, hi) of every scan; return that log."""
+    With `kernel_variant`, every scan runs that variant's divisor test, which
+    gives the same hits as the other one.
+    """
     calls = []
     scan = core._scan_hits
 
     def recording(lo, hi, variant, counter=None):
         calls.append((lo, hi))
-        return scan(lo, hi, variant, counter)
+        return scan(lo, hi, kernel_variant or variant, counter)
 
     monkeypatch.setattr(core, "_scan_hits", recording)
     return calls
 
 
-# a cold store's scans, one list per x: the prefill to Dusart's floor from x = 5 on, then blocks
-COLD_SCANS = {0: [], 4: [(2, 363)], 5: [(2, 8), (9, 363)], 100: [(2, 519), (520, 633)]}
+def scanned_tests(calls):
+    """Divisor tests of the logged scans: j - 2 per scanned j."""
+    return sum(j - 2 for lo, hi in calls for j in range(lo, hi + 1))
+
+
+def test_cold_evaluate_scans_to_dusarts_floor_in_one_call_then_to_the_flip(monkeypatch):
+    calls = record_scans(monkeypatch)
+    core._reset_stores()
+    assert evaluate(2000, variant=IndicatorVariant.DELTA) == 17_393
+    floor = math.floor(p_lower(2001))
+    assert floor == 17_268 and calls[0] == (2, floor)
+    assert [lo for lo, _ in calls[1:]] == [hi + 1 for _, hi in calls[:-1]]
+    assert calls[-1][1] == 17_393
+    assert scanned_tests(calls) == closed_form_incremental(17_393)
+
+
+def derived_scans(x, limit, table):
+    """A cold evaluate's scans: to Dusart's floor from x = 5 on, then n -> n + x + 1 - pi(n)."""
+    n, calls = 1, []
+    if x >= 5:
+        n = min(math.floor(p_lower(x + 1)), limit)
+        calls.append((2, n))
+    while n < limit and table.pi(n) <= x:
+        calls.append((n + 1, min(n + x + 1 - table.pi(n), limit)))
+        n = calls[-1][1]
+    return calls
+
+
+def test_derived_scans_at_x_4(small_sieve):
+    expected = [(2, 6), (7, 8), (9, 9), (10, 10), (11, 11)]
+    for schedule in SCHEDULES:
+        assert derived_scans(4, schedule_limit(schedule, 4), small_sieve) == expected
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("x", sorted(COLD_SCANS))
-def test_cold_evaluate_makes_the_recorded_scans(monkeypatch, small_sieve, x, mode, variant):
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("x", [0, 4, 5, 100, 500])
+def test_cold_evaluate_makes_the_derived_scans(
+    monkeypatch, small_sieve, x, schedule, mode, variant
+):
     calls = record_scans(monkeypatch)
     core._reset_stores()
-    assert evaluate(x, Schedule.SQUARE, mode, variant) == small_sieve.nth_prime(x + 1)
-    assert calls == COLD_SCANS[x]
+    p, limit = small_sieve.nth_prime(x + 1), schedule_limit(schedule, x)
+    assert evaluate(x, schedule, mode, variant) == p
+    assert calls == derived_scans(x, limit, small_sieve)
+    n = core._STORES[variant].n
+    assert n == min(p, limit)  # p itself unless the limit is p - 1 (sq at x = 0)
+    assert scanned_tests(calls) == closed_form_incremental(max(n, 2))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=10)
+@given(x=st.integers(min_value=0, max_value=2000), m=st.integers(min_value=1, max_value=20_000))
+def test_evaluate_grows_the_store_to_exactly_the_flip(big_sieve, variant, x, m):
+    p = big_sieve.nth_prime(x + 1)
+    with pytest.MonkeyPatch.context() as mp:  # the delta kernel keeps x = 2000 fast for gcd too
+        calls = record_scans(mp, kernel_variant=IndicatorVariant.DELTA)
+        core._reset_stores()
+        assert evaluate(x, variant=variant) == p
+        assert core._STORES[variant].n == p
+        assert scanned_tests(calls) == closed_form_incremental(p)
+        core._reset_stores()
+        prefix_count(m, variant)
+        assert evaluate(x, variant=variant) == p
+        assert core._STORES[variant].n == max(m, p)
 
 
 @pytest.mark.parametrize("mode", MODES)
