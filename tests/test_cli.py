@@ -362,3 +362,30 @@ def test_json_round_trip(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+HUMAN_TEXT = {
+    "nth_prime_19.txt": ("nth-prime", "19"),
+    "table_max19.txt": ("table", "--max", "19"),
+    "trace_3.txt": ("trace", "3"),
+    "record_lift_10.txt": ("record-lift", "10"),
+    "audit_umax12.txt": ("audit", "--u-max", "12"),
+    "validate_max300.txt": ("validate", "--max", "300"),
+    "compare_max120.txt": ("compare", "--max", "120"),
+    "verify_max300.txt": ("verify", "--max", "300", "--sweep-max", "40", "--audit-max", "30"),
+    "help.txt": ("--help",),
+    **{
+        f"help_{command}.txt": (command, "--help")
+        for command in ("nth-prime", "table", "trace", "record-lift", "audit", "validate",
+                        "compare", "verify")
+    },
+}
+
+
+@pytest.mark.parametrize("golden,argv", HUMAN_TEXT.items(), ids=list(HUMAN_TEXT))
+def test_human_text_matches_golden_files(monkeypatch, capsys, golden, argv):
+    # argparse wraps its help to the terminal width; at 100 columns Python 3.10-3.13 agree
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "human" / golden).read_text(encoding="utf-8")
