@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare,
-verify (every checked claim in one document).
-Human-readable text by default; `--json` emits one deterministic document
-per invocation (sorted keys, no timestamps).  Exit codes: 0 ok, 1 a checked
-claim failed, 2 bad input, 3 overflow/range (including input whose predicted
-divisor tests exceed `core.MAX_DIVISOR_TESTS`), 130 interrupted, 141 broken pipe.
+verify (every checked claim in one document).  Each is one `_COMMANDS` entry:
+help, handler and arguments.  A handler returns its outputs, whether every
+claim held and its human text; `main` wraps them in the one `ReportDocument`,
+which `--json` prints instead of the text (sorted keys, no timestamps).
+Exit codes: 0 ok, 1 a checked claim failed, 2 bad input, 3 overflow/range
+(including input whose predicted divisor tests exceed
+`core.MAX_DIVISOR_TESTS`), 130 interrupted, 141 broken pipe.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from .schedules import (
     validate_schedule,
 )
 
-_SCHEDULES = {"sq": Schedule.SQUARE, "lin": Schedule.LINLOG}
-_MODES = {"naive": EvalMode.NAIVE, "incremental": EvalMode.INCREMENTAL}
-_VARIANTS = {"gcd": IndicatorVariant.GCD, "delta": IndicatorVariant.DELTA}
+_Result = Tuple[Dict[str, object], bool, str]  # outputs, every claim held, human text
+_EXIT_CODES = {PostconditionError: 1, DomainError: 2, RangeError: 3, OverflowError: 3}
 
 
 @dataclass
@@ -49,14 +50,10 @@ class ReportDocument:
     command: str
     inputs: Dict[str, object]
     outputs: Dict[str, object]
-    status: str = "ok"  # ok | violation | error
+    status: str  # ok | violation
 
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        return cls(**json.loads(text))
 
 
 def _nat_arg(text: str) -> int:
@@ -69,10 +66,8 @@ def _nat_arg(text: str) -> int:
     return value
 
 
-def _reports_document(
-    command: str, inputs: Dict[str, object], reports: List[BoundsReport]
-) -> Tuple[ReportDocument, str]:
-    """One document and one PASS/FAIL line (plus violation rows) per report."""
+def _reports_result(reports: List[BoundsReport]) -> _Result:
+    """The reports as outputs, and one PASS/FAIL line (plus violation rows) per report."""
     lines = []
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
@@ -80,13 +75,8 @@ def _reports_document(
         lines.append(f"{tag}  {r.claim_id}  x_range={list(r.x_range)}{slack}")
         for v in r.violations[:10]:
             lines.append(f"      violation at x={v[0]}: lhs={v[1]} rhs={v[2]}")
-    doc = ReportDocument(
-        command=command,
-        inputs=inputs,
-        outputs={"reports": [r.to_dict() for r in reports]},
-        status="ok" if all(r.passed for r in reports) else "violation",
-    )
-    return doc, "\n".join(lines)
+    outputs = {"reports": [r.to_dict() for r in reports]}
+    return outputs, all(r.passed for r in reports), "\n".join(lines)
 
 
 def _validate_reports(n: int, table: SieveTable) -> List[BoundsReport]:
@@ -107,88 +97,51 @@ def _compare_reports(n: int, table: SieveTable) -> List[BoundsReport]:
     ]
 
 
-def _cmd_nth_prime(args) -> Tuple[ReportDocument, str]:
+def _cmd_nth_prime(args) -> _Result:
     value = evaluate(
         args.x,
-        schedule=_SCHEDULES[args.schedule],
-        mode=_MODES[args.mode],
-        variant=_VARIANTS[args.variant],
+        schedule=Schedule(args.schedule),
+        mode=EvalMode(args.mode),
+        variant=IndicatorVariant(args.variant),
     )
-    doc = ReportDocument(
-        command="nth-prime",
-        inputs={
-            "x": args.x,
-            "schedule": args.schedule,
-            "mode": args.mode,
-            "variant": args.variant,
-        },
-        outputs={"value": value},
-    )
-    return doc, str(value)
+    return {"value": value}, True, str(value)
 
 
-def _cmd_table(args) -> Tuple[ReportDocument, str]:
+def _cmd_table(args) -> _Result:
     evaluate(args.max)  # admits the largest row first; the rows then read its store
     table = sieve_for_nth(args.max + 1)
     rows = []
-    all_agree = True
     for x in range(args.max + 1):
-        value = evaluate(x)
-        expected = table.nth_prime(x + 1)
-        agree = value == expected
-        all_agree &= agree
-        rows.append([x, value, expected, agree])
-    doc = ReportDocument(
-        command="table",
-        inputs={"max": args.max},
-        outputs={"rows": rows},
-        status="ok" if all_agree else "violation",
-    )
+        value, expected = evaluate(x), table.nth_prime(x + 1)
+        rows.append([x, value, expected, value == expected])
     lines = ["    x   f(x)  p_(x+1)  agree"]
-    for x, value, expected, agree in rows:
-        lines.append(f"{x:5d}  {value:5d}  {expected:7d}  {'yes' if agree else 'NO'}")
-    return doc, "\n".join(lines)
+    lines += [f"{x:5d}  {v:5d}  {e:7d}  {'yes' if agree else 'NO'}" for x, v, e, agree in rows]
+    return {"rows": rows}, all(row[3] for row in rows), "\n".join(lines)
 
 
-def _cmd_trace(args) -> Tuple[ReportDocument, str]:
-    record = trace(args.x, schedule=_SCHEDULES[args.schedule])
-    doc = ReportDocument(
-        command="trace",
-        inputs={"x": args.x, "schedule": args.schedule},
-        outputs={
-            "limit": record.limit,
-            "rows": [list(row) for row in record.rows],
-            "flip_index": record.flip_index,
-            "result": record.result,
-        },
-    )
+def _cmd_trace(args) -> _Result:
+    record = trace(args.x, schedule=Schedule(args.schedule))
+    outputs = {
+        "limit": record.limit,
+        "rows": [list(row) for row in record.rows],
+        "flip_index": record.flip_index,
+        "result": record.result,
+    }
     lines = [f"x = {record.x}, schedule limit U = {record.limit}", "    i  I(i)  S(i)  A(i,x)"]
-    for row in record.rows:
-        lines.append(f"{row.i:5d}  {row.indicator:4d}  {row.prefix:4d}  {row.step:6d}")
+    lines += [f"{i:5d}  {ind:4d}  {pre:4d}  {a:6d}" for i, ind, pre, a in outputs["rows"]]
     lines.append(f"flip at i = {record.flip_index}; result = {record.result}")
-    return doc, "\n".join(lines)
+    return outputs, True, "\n".join(lines)
 
 
-def _cmd_record_lift(args) -> Tuple[ReportDocument, str]:
+def _cmd_record_lift(args) -> _Result:
     # record_lift raises PostconditionError unless P* is a prime > L
-    p_star = record_lift(args.l, schedule=_SCHEDULES[args.schedule])
-    doc = ReportDocument(
-        command="record-lift",
-        inputs={"l": args.l, "schedule": args.schedule},
-        outputs={"p_star": p_star, "is_prime": True, "exceeds_input": True},
-    )
-    return doc, f"P* = {p_star} (prime, > {args.l})"
+    p_star = record_lift(args.l, schedule=Schedule(args.schedule))
+    outputs = {"p_star": p_star, "is_prime": True, "exceeds_input": True}
+    return outputs, True, f"P* = {p_star} (prime, > {args.l})"
 
 
-def _cmd_audit(args) -> Tuple[ReportDocument, str]:
-    rows = audit_range(args.u_min, args.u_max, variant=_VARIANTS[args.variant])
-    all_match = all(row.match for row in rows)
-    doc = ReportDocument(
-        command="audit",
-        inputs={"u_min": args.u_min, "u_max": args.u_max},
-        outputs={"rows": [row.to_dict() for row in rows]},
-        status="ok" if all_match else "violation",
-    )
+def _cmd_audit(args) -> _Result:
+    rows = audit_range(args.u_min, args.u_max, variant=IndicatorVariant(args.variant))
     lines = ["    U  mode         divisor_tests  predicted  step_floors  additions  match"]
     for row in rows:
         lines.append(
@@ -196,20 +149,19 @@ def _cmd_audit(args) -> Tuple[ReportDocument, str]:
             f"  {row.predicted_gcd:9d}  {row.measured.step_floors:11d}"
             f"  {row.measured.additions:9d}  {'yes' if row.match else 'NO'}"
         )
-    return doc, "\n".join(lines)
+    outputs = {"rows": [row.to_dict() for row in rows]}
+    return outputs, all(row.match for row in rows), "\n".join(lines)
 
 
-def _cmd_validate(args) -> Tuple[ReportDocument, str]:
-    reports = _validate_reports(args.max, sieve_for_nth(args.max + 1))
-    return _reports_document("validate", {"max": args.max}, reports)
+def _cmd_validate(args) -> _Result:
+    return _reports_result(_validate_reports(args.max, sieve_for_nth(args.max + 1)))
 
 
-def _cmd_compare(args) -> Tuple[ReportDocument, str]:
-    reports = _compare_reports(args.max, sieve_for_nth(args.max + 1))
-    return _reports_document("compare", {"max": args.max}, reports)
+def _cmd_compare(args) -> _Result:
+    return _reports_result(_compare_reports(args.max, sieve_for_nth(args.max + 1)))
 
 
-def _cmd_verify(args) -> Tuple[ReportDocument, str]:
+def _cmd_verify(args) -> _Result:
     n, sweep = args.max, args.sweep_max
     if n < DIVERGENCE_X_MIN:  # every input is checked before any report or scan runs
         raise DomainError(f"verify requires --max >= {DIVERGENCE_X_MIN}, got {n}")
@@ -250,12 +202,35 @@ def _cmd_verify(args) -> Tuple[ReportDocument, str]:
             ),
         ),
     ]
-    inputs = {"max": n, "sweep_max": sweep, "audit_max": args.audit_max}
-    return _reports_document("verify", inputs, reports)
+    return _reports_result(reports)
 
 
-def _add_schedule_flag(sub) -> None:
-    sub.add_argument("--schedule", choices=sorted(_SCHEDULES), default="lin")
+_NAT = {"type": _nat_arg}
+_SCHEDULE = ("--schedule", {"choices": ["lin", "sq"], "default": "lin"})
+_MODE = ("--mode", {"choices": ["incremental", "naive"], "default": "incremental"})
+_VARIANT = ("--variant", {"choices": ["delta", "gcd"], "default": "gcd"})
+
+# name -> (help, handler, arguments the document records as inputs, *other arguments)
+_COMMANDS = {
+    "nth-prime": ("print p_(x+1)", _cmd_nth_prime, [("x", _NAT), _SCHEDULE, _MODE, _VARIANT]),
+    "table": ("enumerator outputs vs. sieve for x = 0..max", _cmd_table,
+              [("--max", {**_NAT, "default": 19})]),
+    "trace": ("per-i breakdown (I, S, A) of one run", _cmd_trace, [("x", _NAT), _SCHEDULE]),
+    "record-lift": ("certified prime > L", _cmd_record_lift,
+                    [("l", {**_NAT, "metavar": "L"}), _SCHEDULE]),
+    "audit": ("measured operation counts vs. closed forms", _cmd_audit,
+              [("--u-min", {**_NAT, "default": 2}), ("--u-max", {**_NAT, "default": 50})],
+              _VARIANT),
+    "validate": ("schedule inequality sweeps", _cmd_validate,
+                 [("--max", {**_NAT, "default": 1000})]),
+    "compare": ("signature, divergence, minimality, axiom checks", _cmd_compare,
+                [("--max", {**_NAT, "default": 100})]),
+    "verify": ("every checked claim of the paper in one document", _cmd_verify, [
+        ("--max", {**_NAT, "default": 2000}),
+        ("--sweep-max", {**_NAT, "default": 200}),
+        ("--audit-max", {**_NAT, "default": 200}),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,79 +240,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"primefold {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nth-prime", help="print p_(x+1)")
-    p.add_argument("x", type=_nat_arg)
-    _add_schedule_flag(p)
-    p.add_argument("--mode", choices=sorted(_MODES), default="incremental")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="gcd")
-    p.set_defaults(handler=_cmd_nth_prime)
-
-    p = sub.add_parser("table", help="enumerator outputs vs. sieve for x = 0..max")
-    p.add_argument("--max", type=_nat_arg, default=19)
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("trace", help="per-i breakdown (I, S, A) of one run")
-    p.add_argument("x", type=_nat_arg)
-    _add_schedule_flag(p)
-    p.set_defaults(handler=_cmd_trace)
-
-    p = sub.add_parser("record-lift", help="certified prime > L")
-    p.add_argument("l", type=_nat_arg, metavar="L")
-    _add_schedule_flag(p)
-    p.set_defaults(handler=_cmd_record_lift)
-
-    p = sub.add_parser("audit", help="measured operation counts vs. closed forms")
-    p.add_argument("--u-min", type=_nat_arg, default=2)
-    p.add_argument("--u-max", type=_nat_arg, default=50)
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="gcd")
-    p.set_defaults(handler=_cmd_audit)
-
-    p = sub.add_parser("validate", help="schedule inequality sweeps")
-    p.add_argument("--max", type=_nat_arg, default=1000)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("compare", help="signature, divergence, minimality, axiom checks")
-    p.add_argument("--max", type=_nat_arg, default=100)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("verify", help="every checked claim of the paper in one document")
-    p.add_argument("--max", type=_nat_arg, default=2000)
-    p.add_argument("--sweep-max", type=_nat_arg, default=200)
-    p.add_argument("--audit-max", type=_nat_arg, default=200)
-    p.set_defaults(handler=_cmd_verify)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true", help="emit a JSON document")
+    for name, (help_text, handler, recorded, *other) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        inputs = [p.add_argument(flag, **options).dest for flag, options in recorded]
+        for flag, options in other:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.set_defaults(handler=handler, inputs=inputs)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        doc, human = args.handler(args)
-    except DomainError as exc:
+        outputs, held, human = args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RangeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PostconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    inputs = {dest: getattr(args, dest) for dest in args.inputs}
+    doc = ReportDocument(args.command, inputs, outputs, "ok" if held else "violation")
     try:
         print(doc.to_json() if args.json else human, flush=True)
     except BrokenPipeError:  # stdout's fd now writes to devnull, so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
-    return 0 if doc.status == "ok" else 1
+    return 0 if held else 1
 
 
 def entry() -> None:  # console-script hook

@@ -185,26 +185,18 @@ def _reset_stores() -> None:
 _reset_stores()
 
 
-def indicator(
-    j: int,
-    variant: IndicatorVariant = IndicatorVariant.GCD,
-    *,
-    counter: "OpCounts | None" = None,
-) -> int:
-    """Prime indicator floor(1 / (1 + sum of divisor hits)); 1 iff j prime.
-
-    `counter` scans j alone, past the store, and tallies every operation.
-    """
+def indicator(j: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> int:
+    """Prime indicator floor(1 / (1 + sum of divisor hits)); 1 iff j prime."""
     j = as_nat(j, "j")
     if j < 2:
         raise DomainError(f"indicator requires j >= 2, got {j}")
     store = _STORES[variant]
-    if counter is None and j == store.n + 1:  # the next j costs the same scan stored or not
+    if j == store.n + 1:  # the next j costs the same scan stored or not
         store.fill(j)
-    if counter is None and j <= store.n:
+    if j <= store.n:
         return int(store.ind[j])
     admit(j - 2, f"the indicator of j = {j}")
-    return int(_indicators(j, j, variant, counter)[0])
+    return int(_indicators(j, j, variant)[0])
 
 
 def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> int:
@@ -226,7 +218,7 @@ def _steps(prefix, x: int, counter: "OpCounts | None" = None):
     return a
 
 
-def step(s: int, x: int, *, counter: "OpCounts | None" = None) -> int:
+def step(s: int, x: int) -> int:
     """Folded step floor(1 / (1 + floor(s / (x+1)))); equals 1 iff s <= x."""
     checked_add(1, as_nat(s, "s") // checked_add(as_nat(x, "x"), 1))  # 1 + q stays in range
-    return _steps(s, x, counter)
+    return _steps(s, x)

@@ -25,7 +25,6 @@ from primefold import (
     closed_form_incremental,
     closed_form_naive,
     core,
-    indicator,
     run_counted,
 )
 from primefold.audit import summed_tests
@@ -212,7 +211,6 @@ def test_counted_runs_never_read_or_fill_the_store():
     for variant in (GCD, DELTA):
         for mode in (EvalMode.NAIVE, EvalMode.INCREMENTAL):
             run_counted(5, 300, mode, variant)  # j's on both sides of _SMALL_J
-        assert indicator(2, variant, counter=OpCounts()) == 1  # the store's next j
         assert core._STORES[variant].n == 1
 
 

@@ -2,15 +2,19 @@
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import primefold
 from primefold import closed_form_incremental, closed_form_naive, core, sieve_for_nth, u_lin
 from primefold.cli import ReportDocument, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# a child interpreter imports the same package as this one
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(primefold.__file__).parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -355,9 +359,9 @@ def test_closed_stdout_exits_141_without_a_traceback(monkeypatch, capsys):
 
 def test_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "validate", "--max", "30", "--json")
-    doc = ReportDocument.from_json(out)
-    assert doc.to_json() + "\n" == out
-    assert ReportDocument.from_json(doc.to_json()) == doc
+    doc = json.loads(out)
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+    assert ReportDocument(**doc).to_json() + "\n" == out
 
 
 def test_help_exits_zero(capsys):
@@ -389,3 +393,28 @@ def test_human_text_matches_golden_files(monkeypatch, capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / "human" / golden).read_text(encoding="utf-8")
+
+
+def test_verify_with_asserts_stripped_matches_its_golden_file():
+    argv = ("verify", "--max", "300", "--sweep-max", "40", "--audit-max", "30", "--json")
+    run = subprocess.run([sys.executable, "-O", "-m", "primefold", *argv], env=CHILD_ENV,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (GOLDEN_DIR / "verify_max300.json").read_text(encoding="utf-8")
+
+
+# an intermediate interpreter reports the peak RSS of its one child alone
+PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)  # KiB on Linux
+"""
+
+
+def test_validate_a_million_under_asserts_stripped_peaks_within_160_mb():
+    argv = (sys.executable, "-O", "-m", "primefold", "validate", "--max", "1000000", "--json")
+    probe = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=CHILD_ENV,
+                           capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 <= 160

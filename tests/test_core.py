@@ -135,19 +135,18 @@ def test_indicator_variants_agree_and_match_oracle(j):
        st.sampled_from([GCD, DELTA]))
 def test_counted_path_matches_cached_value(j, variant):
     cached = indicator(j, variant)
-    counter = OpCounts()
-    assert indicator(j, variant, counter=counter) == cached
+    assert core._indicators(j, j, variant, OpCounts())[0] == cached
 
 
 def test_counted_indicator_tallies_sites():
     counter = OpCounts()
-    assert indicator(9, GCD, counter=counter) == 0
+    assert core._indicators(9, 9, GCD, counter)[0] == 0
     assert counter.gcd_calls == 7  # k = 2..8
     assert counter.inner_test_floors == 7
     assert counter.indicator_floors == 1
     assert counter.additions == 1  # the 1 + sum
     counter = OpCounts()
-    assert indicator(9, DELTA, counter=counter) == 0
+    assert core._indicators(9, 9, DELTA, counter)[0] == 0
     assert counter.gcd_calls == 0
     assert counter.delta_calls == 7
     assert counter.inner_test_floors == 14  # two floors per delta
@@ -202,11 +201,9 @@ def test_over_budget_store_fills_and_single_scans_raise_before_any_scan(monkeypa
         prefix_count(10**7)
     with pytest.raises(RangeError, match=f"predicts {2**40 + 13} divisor tests"):
         indicator(2**40 + 15)
-    for variant in (GCD, DELTA):  # one j past the budget, counted or not
+    for variant in (GCD, DELTA):  # one j past the budget
         with pytest.raises(RangeError):
             indicator(core.MAX_DIVISOR_TESTS + 3, variant)
-        with pytest.raises(RangeError):
-            indicator(core.MAX_DIVISOR_TESTS + 3, variant, counter=OpCounts())
 
 
 # -------------------------------------------------------------- prefix count
@@ -250,7 +247,7 @@ def test_step_equivalence_random(s, x):
 
 def test_step_counts_two_floors_and_two_additions():
     counter = OpCounts()
-    step(5, 9, counter=counter)
+    core._steps(5, 9, counter)
     assert counter.step_floors == 2
     assert counter.additions == 2
 

@@ -44,6 +44,11 @@ def u_lin_highprec(x: int) -> int:
         return int(mp.ceil(product)) + 10
 
 
+def p_lower_floor_highprec(n: int) -> int:
+    with mp.workdps(60):
+        return int(mp.floor(n * (mp.log(n) + mp.log(mp.log(n)) - 1)))
+
+
 def test_u_sq_examples():
     assert [u_sq(x) for x in range(10)] == [1, 4, 9, 16, 25, 36, 49, 64, 81, 100]
 
@@ -61,8 +66,15 @@ def test_u_lin_golden_values():
 
 
 def test_u_lin_matches_high_precision_sweep():
-    for x in range(0, 501):
-        assert u_lin(x) == u_lin_highprec(x)
+    # every x the divisor-test budget admits (x <= 4,853) and more
+    assert [x for x in range(10_001) if u_lin(x) != u_lin_highprec(x)] == []
+
+
+def test_p_lower_floor_matches_high_precision_sweep():
+    # evaluate prefills its store to floor(p_lower(x + 1)), so the floor must be exact
+    misses = [x for x in range(1, 10_001)
+              if math.floor(p_lower(x + 1)) != p_lower_floor_highprec(x + 1)]
+    assert misses == []
 
 
 def test_u_lin_nondecreasing_to_10k():
