@@ -17,6 +17,11 @@ to _SMALL_J as one pass over their (k, j) pairs, larger j's in uint32.  A
 wide slice of those (lo' <= hi // 2) runs k-major, one row per k with the
 j's as the vector, so each numpy call divides by one scalar; a narrower one
 runs j-major, one row per j over k = 2, 3, ... in chunks of _CHUNK k's.
+Uncounted gcd k-major rows are dealt out over the _WORKERS usable CPUs, since
+np.gcd waits on one hardware division per Euclid step with the GIL released.
+Delta rows stay on the caller's thread: each takes a few microseconds, so
+threads would contend for the GIL.  Counted rows stay there too, so a counter
+has one writer.
 Given an `OpCounts` via `counter`, it reads no store and tallies every row it
 evaluates.  Uncounted runs read a per-variant store of I(j) (int8) and S(j)
 (int64) that the kernel fills: `_Store.fill(m)` scans exactly the j <= m the
@@ -28,6 +33,8 @@ divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from math import gcd
 from typing import TYPE_CHECKING, Dict
 
@@ -41,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _CHUNK = 1 << 20  # k's per j-major row: bounds a single-j scan's memory
 _SMALL_J = 256  # j's up to here scan as one pass over their (k, j) pairs
 MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # usable CPUs: the threads of a gcd k-major scan
 
 
 class IndicatorVariant(enum.Enum):
@@ -90,7 +99,7 @@ def admit(tests: int, what: str) -> None:
         raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
-_PAIRS = None  # rows k, j and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
+_PAIRS = None  # rows k, j, j - 1 and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
 
 
 def _offset(j):
@@ -98,13 +107,16 @@ def _offset(j):
     return (j - 3) * (j - 2) // 2
 
 
-def _divisor_tests(ks, js, a, b, variant: IndicatorVariant, counter: "OpCounts | None"):
-    """The variant's divisor test of every (k, j) element into `a` (`b` is scratch)."""
+def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, counter: "OpCounts | None"):
+    """The variant's divisor test of every (k, j) element into `a` (`b` is scratch).
+
+    `js1` is `js - 1`, which only the delta test reads; callers hoist it out of their rows.
+    """
     gcd_test = variant is IndicatorVariant.GCD
     if gcd_test:
         np.floor_divide(np.gcd(ks, js, out=a), ks, out=a)
     else:
-        np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js - 1, ks, out=b), out=a)
+        np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js1, ks, out=b), out=a)
     if counter is not None:  # the sum over k belongs to this tally too (see audit.OpCounts)
         counter.gcd_calls += a.size if gcd_test else 0
         counter.delta_calls += 0 if gcd_test else a.size
@@ -121,26 +133,64 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts |
         if _PAIRS is None or _PAIRS.shape[1] < _offset(last + 1):
             js = np.arange(3, _SMALL_J + 1, dtype=np.int32)
             ks = np.concatenate([np.arange(2, j, dtype=np.int32) for j in js])
-            _PAIRS = np.stack([ks, np.repeat(js, js - 2), ks, ks])
-        ks, js, a, b = _PAIRS[:, _offset(first) : _offset(last + 1)]
-        tests = _divisor_tests(ks, js, a, b, variant, counter)
+            _PAIRS = np.stack([ks, np.repeat(js, js - 2), np.repeat(js - 1, js - 2), ks, ks])
+        ks, js, js1, a, b = _PAIRS[:, _offset(first) : _offset(last + 1)]
+        tests = _divisor_tests(ks, js, js1, a, b, variant, counter)
         starts = _offset(np.arange(first, last + 1)) - _offset(first)
         hits[first - lo : last - lo + 1] = np.add.reduceat(tests, starts)
     first = max(lo, _SMALL_J + 1)
     if first <= hi // 2:  # k-major: one row per k, the j's as the vector
-        js = np.arange(first, hi + 1, dtype=np.uint32)
-        acc, a, b = np.zeros((3, js.size), np.uint32)
-        for k in range(2, hi):
-            s = max(k + 1 - first, 0)
-            acc[s:] += _divisor_tests(k, js[s:], a[s:], b[s:], variant, counter)
-        hits[first - lo :] = acc
+        hits[first - lo :] = _k_major(first, hi, variant, counter)
         return hits
     for j in range(first, hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
         for k0 in range(2, j, _CHUNK):
             ks = np.arange(k0, min(j, k0 + _CHUNK), dtype=np.uint32)
             a, b = np.empty((2, ks.size), np.uint32)
-            hits[j - lo] += int(_divisor_tests(ks, j, a, b, variant, counter).sum())
+            hits[j - lo] += int(_divisor_tests(ks, j, j - 1, a, b, variant, counter).sum())
     return hits
+
+
+def _k_major(first: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None"):
+    """Hits of j in [first, hi] summed over rows k = 2..hi-1, each row over the j's past k.
+
+    Worker i of w adds rows k = 2+i, 2+i+w, ... into its own buffers, the caller's thread
+    being worker 0, and the caller sums the w accumulators.  An exception in any worker,
+    an interrupt included, stops every worker before its next row and reaches the caller.
+    """
+    js = np.arange(first, hi + 1, dtype=np.uint32)
+    js1 = js - 1
+    split = counter is None and variant is IndicatorVariant.GCD  # see the module docstring
+    w = min(_WORKERS, hi - 2) if split else 1
+    buffers = np.zeros((w, 3, js.size), np.uint32)
+    stop, errors = threading.Event(), []
+
+    def rows(i):
+        acc, a, b = buffers[i]
+        try:
+            for k in range(2 + i, hi, w):
+                if stop.is_set():
+                    return
+                s = max(k + 1 - first, 0)
+                acc[s:] += _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant, counter)
+        except BaseException as exc:  # the caller re-raises it, so no row is silently lost
+            errors.append(exc)
+            stop.set()
+
+    workers = [threading.Thread(target=rows, args=(i,)) for i in range(1, w)]
+    try:
+        for worker in workers:
+            worker.start()
+        rows(0)
+        for worker in workers:
+            worker.join()
+    finally:
+        stop.set()  # an early exit stops every worker before its next row
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
+    if errors:
+        raise errors[0]
+    return buffers[:, 0].sum(axis=0, dtype=np.int64)
 
 
 def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):

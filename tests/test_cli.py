@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -343,6 +345,37 @@ def test_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "evaluate", interrupted)
     assert run_cli(capsys, "nth-prime", "5") == (130, "", "interrupted\n")
+
+
+def test_interrupt_during_a_split_scan_exits_130_within_two_seconds():
+    # about 700M gcd tests: 2 s in, the prefill's k-major scan is running on every worker
+    child = subprocess.Popen([sys.executable, "-m", "primefold", "nth-prime", "4000"],
+                             env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+    try:
+        time.sleep(2)
+        child.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        out, err = child.communicate(timeout=10)
+        waited = time.monotonic() - sent
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, "", "interrupted\n")
+    assert waited < 2
+
+
+@pytest.mark.parametrize("argv", [("nth-prime", "600"), ("table", "--max", "60")])
+def test_json_output_is_the_same_on_one_worker_and_two(monkeypatch, capsys, argv):
+    monkeypatch.setattr(core, "_SMALL_J", 40)  # table's j <= 283 now scan k-major too
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        core._reset_stores()
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_closed_stdout_exits_141_without_a_traceback(monkeypatch, capsys):

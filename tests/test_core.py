@@ -6,6 +6,9 @@ gcd/floor indicator and the sieve module.
 
 import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -166,6 +169,53 @@ def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
         assert counter.gcd_calls == (tests if variant is GCD else 0)
         assert counter.delta_calls == (0 if variant is GCD else tests)
         assert counter.inner_test_floors == (1 if variant is GCD else 2) * tests
+
+
+def test_worker_count_is_the_usable_cpu_count():
+    assert core._WORKERS == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
+    monkeypatch.setattr(core, "_SMALL_J", 40)  # k-major from lo = 41 once lo <= hi // 2
+    expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 302)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to expose a lost update
+    try:
+        for lo, hi in ((2, 300), (41, 300), (41, 301), (100, 299), (150, 301)):  # 296-299 rows
+            assert core._scan_hits(lo, hi, variant).tolist() == expected[lo - 2 : hi - 1]
+    finally:
+        sys.setswitchinterval(interval)
+    counter = OpCounts()  # a counted scan keeps one thread and today's tallies
+    assert core._scan_hits(41, 301, variant, counter).tolist() == expected[39:]
+    tests = sum(j - 2 for j in range(41, 302))
+    assert counter.gcd_calls == (tests if variant is GCD else 0)
+    assert counter.delta_calls == (0 if variant is GCD else tests)
+    assert counter.inner_test_floors == (1 if variant is GCD else 2) * tests
+
+
+class _RowFailed(Exception):
+    pass
+
+
+def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_SMALL_J", 40)
+    tests = core._divisor_tests
+
+    def failing(ks, *args):
+        if ks == 5:  # a k-major row k (no pairs or j-major rows here); worker 1 runs k = 3, 5, ...
+            raise _RowFailed(threading.current_thread().name)
+        return tests(ks, *args)
+
+    monkeypatch.setattr(core, "_divisor_tests", failing)
+    threads = threading.active_count()
+    with pytest.raises(_RowFailed) as failure:
+        core._scan_hits(41, 300, GCD)
+    assert failure.value.args[0] != threading.current_thread().name
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
