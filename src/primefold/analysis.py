@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .core import prefix_count
 from .enumerator import trace
 from .nat import DomainError, RangeError, as_nat
 from .oracle import SieveTable, sieve_for_nth
@@ -150,6 +151,7 @@ def check_forward_count_axiom(
         raise RangeError(
             f"check_forward_count_axiom is trace-backed; x_max <= {FORWARD_AXIOM_X_MAX}"
         )
+    prefix_count(u_lin(x_max))  # one wide scan fills the store; every trace below reads it
     if table is None:
         table = sieve_for_nth(x_max + 1)
     violations = []

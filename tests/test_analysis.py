@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+from test_enumerator import record_scans
 
 from primefold import (
     DomainError,
@@ -16,7 +17,7 @@ from primefold import (
     signature,
     u_lin,
 )
-from primefold import analysis
+from primefold import analysis, core
 
 
 def test_signature_constants():
@@ -76,6 +77,14 @@ def test_minimality_requires_x_max_5():
 def test_forward_count_axiom(small_sieve):
     report = check_forward_count_axiom(50, small_sieve)
     assert report.passed
+
+
+def test_forward_count_axiom_fills_a_cold_store_in_one_wide_scan(monkeypatch):
+    # u_lin(200) = 1414: every trace of the sweep reads what this one k-major scan stored
+    calls = record_scans(monkeypatch)
+    core._reset_stores()
+    assert check_forward_count_axiom(200).passed
+    assert calls == [(2, 1414)]
 
 
 def test_forward_count_axiom_trace_guard():

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, JSON determinism and round-trip."""
 
+import gc
 import json
 import os
 import signal
@@ -451,3 +452,51 @@ def test_validate_a_million_under_asserts_stripped_peaks_within_160_mb():
     code, peak_kib = map(int, probe.stdout.split())
     assert code == 0
     assert peak_kib / 1024 <= 160
+
+
+def test_in_process_runs_and_the_import_freeze_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "table", "--max", "3", "--json")[0] == 0
+    assert gc.get_freeze_count() == before
+    probe = "import gc, primefold; print(gc.get_freeze_count())"
+    run = subprocess.run([sys.executable, "-c", probe], env=CHILD_ENV, capture_output=True,
+                         text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
+
+
+def test_entry_freezes_the_heap_once_after_main_returns_and_exits_with_its_code(monkeypatch):
+    import primefold.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))  # this process stays unfrozen
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert (calls, exit_info.value.code) == (["main", "freeze"], 7)
+
+
+@pytest.mark.parametrize("x,code", [("-1", 2), ("1000000000000", 3)], ids=["-1", "1000000000000"])
+def test_a_child_exits_with_the_in_process_code_and_error_line(monkeypatch, capsys, x, code):
+    # argparse wraps its usage to the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "100")
+    run = subprocess.run([sys.executable, "-m", "primefold", "nth-prime", x],
+                         env={**CHILD_ENV, "COLUMNS": "100"}, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == run_cli(capsys, "nth-prime", x)
+    assert run.returncode == code
+    assert "error: " in run.stderr.splitlines()[-1]
+
+
+# stdout is a pipe, so the handler's line waits in its buffer for the exit flush
+ATEXIT_CHILD = """
+import atexit, sys
+from primefold import cli
+atexit.register(print, "atexit handler ran")
+sys.argv = ["primefold", "nth-prime", "5"]
+cli.entry()
+"""
+
+
+def test_entry_still_runs_atexit_handlers_and_flushes_stdout():
+    run = subprocess.run([sys.executable, "-c", ATEXIT_CHILD], env=CHILD_ENV,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "13\natexit handler ran\n", "")

@@ -11,6 +11,7 @@ land on 11 there, and validate_schedule certifies the inequality that the
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -280,3 +281,10 @@ def test_willans_cover_is_the_exact_comparison():
     for x in range(130):
         for p in (2, 2 ** (x + 1) - 1, 2 ** (x + 1), 2 ** (x + 1) + 1, 2 ** (x + 2)):
             assert schedules._willans_covers(x, p) == (p <= 2 ** (x + 1))
+
+
+def test_log_of_an_array_equals_the_log_of_each_numpy_scalar_bit_for_bit():
+    inner = np.arange(10**5 + 1) + math.e
+    for v in (inner, schedules._log(inner)):  # both arrays _lin_bound takes the log of
+        reference = np.fromiter(map(math.log, v), float)  # math.log of each np.float64
+        assert schedules._log(v).tobytes() == reference.tobytes()
