@@ -20,13 +20,13 @@ k inside a divisor scan belongs to the divisor-test tally.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import IndicatorVariant, _indicators, _steps, admit
+from .core import IndicatorVariant, _indicators, _rescan_sums, _steps, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat, checked_add
@@ -49,7 +49,7 @@ class OpCounts:
         return self.gcd_calls + self.delta_calls
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the six tallies, in field order
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,9 @@ class AuditRow:
         object.__setattr__(self, "match", self.measured == predicted)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "mode": self.mode.value, "variant": self.variant.value}
+        return {"u": self.u, "mode": self.mode.value, "variant": self.variant.value,
+                "measured": self.measured.to_dict(), "predicted_gcd": self.predicted_gcd,
+                "match": self.match}
 
 
 def summed_tests(u_min: int, u_max: int, mode: EvalMode) -> int:
@@ -109,7 +111,7 @@ def run_counted(
         prefixes = np.cumsum([0, *_indicators(2, u_override, variant, counter)])
         counter.additions += u_override
     else:  # every i re-scans I(2..i) and re-sums S(i) from scratch
-        prefixes = [_indicators(2, i, variant, counter).sum() for i in range(1, u_override + 1)]
+        prefixes = _rescan_sums(u_override, variant, counter)
         counter.additions += u_override * (u_override - 1) // 2  # i - 1 per S(i)
     total = int(_steps(np.array(prefixes, np.uint64), x, counter).sum())  # uint64 holds any x + 1
     counter.additions += u_override + 1  # the outer sum's U accumulations and its final 1 + sum

@@ -17,6 +17,8 @@ to _SMALL_J as one pass over their (k, j) pairs, larger j's in uint32.  A
 wide slice of those (lo' <= hi // 2) runs k-major, one row per k with the
 j's as the vector, so each numpy call divides by one scalar; a narrower one
 runs j-major, one row per j over k = 2, 3, ... in chunks of _CHUNK k's.
+The naive fold's counted rescans of I(2..i), i <= _SMALL_J, share a few pair
+passes per run (`_rescan_sums`), each rescan on its own copy of its pairs.
 Uncounted gcd k-major rows are dealt out over the _WORKERS usable CPUs, since
 np.gcd waits on one hardware division per Euclid step with the GIL released.
 Delta rows stay on the caller's thread: each takes a few microseconds, so
@@ -124,20 +126,30 @@ def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, counter: "OpCou
     return a
 
 
+def _pair_table(last: int):
+    """_PAIRS, built for j = 3.._SMALL_J when it does not yet reach j = last."""
+    global _PAIRS
+    if _PAIRS is None or _PAIRS.shape[1] < _offset(last + 1):
+        js = np.arange(3, _SMALL_J + 1, dtype=np.int32)
+        ks = np.concatenate([np.arange(2, j, dtype=np.int32) for j in js])
+        _PAIRS = np.stack([ks, np.repeat(js, js - 2), np.repeat(js - 1, js - 2), ks, ks])
+    return _PAIRS
+
+
+def _pair_hits(pairs, starts, variant: IndicatorVariant, counter: "OpCounts | None"):
+    """The divisor tests of columns of `pairs`, summed per segment from `starts`."""
+    ks, js, js1, a, b = pairs
+    return np.add.reduceat(_divisor_tests(ks, js, js1, a, b, variant, counter), starts)
+
+
 def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
     """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
-    global _PAIRS
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
     first, last = max(lo, 3), min(hi, _SMALL_J)  # j = 2 has no k
     if first <= last:
-        if _PAIRS is None or _PAIRS.shape[1] < _offset(last + 1):
-            js = np.arange(3, _SMALL_J + 1, dtype=np.int32)
-            ks = np.concatenate([np.arange(2, j, dtype=np.int32) for j in js])
-            _PAIRS = np.stack([ks, np.repeat(js, js - 2), np.repeat(js - 1, js - 2), ks, ks])
-        ks, js, js1, a, b = _PAIRS[:, _offset(first) : _offset(last + 1)]
-        tests = _divisor_tests(ks, js, js1, a, b, variant, counter)
+        pairs = _pair_table(last)[:, _offset(first) : _offset(last + 1)]
         starts = _offset(np.arange(first, last + 1)) - _offset(first)
-        hits[first - lo : last - lo + 1] = np.add.reduceat(tests, starts)
+        hits[first - lo : last - lo + 1] = _pair_hits(pairs, starts, variant, counter)
     first = max(lo, _SMALL_J + 1)
     if first <= hi // 2:  # k-major: one row per k, the j's as the vector
         hits[first - lo :] = _k_major(first, hi, variant, counter)
@@ -193,13 +205,56 @@ def _k_major(first: int, hi: int, variant: IndicatorVariant, counter: "OpCounts 
     return buffers[:, 0].sum(axis=0, dtype=np.int64)
 
 
-def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
-    """I(j) for every j in [lo, hi]; `counter` also tallies each floor and 1 + sum."""
-    hits = _scan_hits(lo, hi, variant, counter)
+def _floor_indicators(hits, counter: "OpCounts | None"):
+    """I = floor(1 / (1 + hits)) of each hit sum; `counter` tallies each floor and 1 + sum."""
     if counter is not None:
         counter.indicator_floors += hits.size
         counter.additions += hits.size
     return 1 // (1 + hits)
+
+
+def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
+    """I(j) for every j in [lo, hi]; `counter` also tallies each floor and 1 + sum."""
+    return _floor_indicators(_scan_hits(lo, hi, variant, counter), counter)
+
+
+def _rescan_sums(u: int, variant: IndicatorVariant, counter: "OpCounts | None"):
+    """S(i) for i = 1..u (u >= 1), each summed from its own scan of I(2..i), as the naive fold runs.
+
+    From i = 3 on, consecutive rescans share passes of at most as many pairs as the pair table
+    holds.  A pass tests end-to-end copies of its rescans' _PAIRS prefixes in one
+    `_divisor_tests` call, sums the hits per (i, j) and the indicators per i, and adds each
+    rescan's own I(2).  From the first rescan that fills a pass alone, and past _SMALL_J, each
+    rescan scans its prefix in place with its own `_indicators` call.
+    """
+    small = min(u, _SMALL_J)
+    pass_pairs = _offset(_SMALL_J + 1)
+    table = _pair_table(small)
+    sizes = _offset(np.arange(4, small + 2))  # pairs of the rescans i = 3..small
+    ends = np.cumsum(sizes)
+    firsts = _offset(np.arange(3, small + 1))  # where each j = 3..small starts in a prefix
+    sums = [np.zeros(1, np.int64), _indicators(2, min(u, 2), variant, counter)]  # S(1), S(2) = I(2)
+    space = np.empty(5 * min(pass_pairs, int(sizes.sum())), table.dtype)  # every pass's pairs
+    i = 3
+    while i < small:
+        done = ends[i - 3] - sizes[i - 3]  # pairs of the rescans before i
+        end = int(np.searchsorted(ends, done + pass_pairs, "right")) + 2
+        if end == i:  # this rescan and every later one fill a pass alone
+            break
+        own = sizes[i - 3 : end - 2]
+        pairs = space[: 5 * (ends[end - 3] - done)].reshape(5, -1)  # the a, b rows are outputs
+        np.concatenate([table[:3, :n] for n in own], 1, out=pairs[:3])
+        runs = np.arange(i - 2, end - 1)  # the j = 3..i of each rescan i
+        opens = np.cumsum(runs) - runs
+        j3 = np.arange(opens[-1] + runs[-1]) - np.repeat(opens, runs)  # j - 3 of each segment
+        starts = np.repeat(np.cumsum(own) - own, runs) + firsts[j3]
+        ind = _floor_indicators(_pair_hits(pairs, starts, variant, counter), counter)
+        two = _floor_indicators(np.zeros(runs.size, ind.dtype), counter)  # each rescan's I(2)
+        sums.append(two + np.add.reduceat(ind, opens))
+        i = end + 1
+    alone = range(i, u + 1)
+    sums.append(np.array([_indicators(2, r, variant, counter).sum() for r in alone], np.int64))
+    return np.concatenate(sums)
 
 
 class _Store:

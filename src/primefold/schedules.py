@@ -48,7 +48,9 @@ def u_sq(x: int) -> int:
 def _log(v):
     """math.log of a float, or of each element of a float array, read as floats through a
     memoryview (no list or numpy scalar per element)."""
-    return np.fromiter(map(math.log, memoryview(v)), float, v.size) if np.ndim(v) else math.log(v)
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(math.log, memoryview(v)), float, v.size)
+    return math.log(v)
 
 
 def _lin_bound(x):

@@ -7,6 +7,7 @@ counts.
 """
 
 import dataclasses
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -280,3 +281,74 @@ def test_counted_step_divides_by_any_64_bit_x_plus_1(x):
         assert run_counted(x, 10, mode)[0] == 11  # every S(i) <= x: all ten steps are 1
     with pytest.raises(OverflowError):
         run_counted(NAT_MAX, 10)  # x + 1 leaves the range
+
+
+# ------------------------------------------------------ batched naive rescans
+
+
+def one_call_per_rescan(u, variant):
+    """S(i) and the tallies of each rescan i = 1..u, one `_indicators(2, i)` call each, as the
+    naive fold ran before it batched its rescans into pair passes."""
+    rescans = []
+    for i in range(1, u + 1):
+        counter = OpCounts()
+        rescans.append((int(core._indicators(2, i, variant, counter).sum()), counter))
+    return rescans
+
+
+def summed_counts(counters):
+    fields = [f.name for f in dataclasses.fields(OpCounts)]
+    return OpCounts(**{name: sum(getattr(c, name) for c in counters) for name in fields})
+
+
+def assert_batched_rescans_match(variant, us):
+    reference = one_call_per_rescan(max(us), variant)
+    for u in us:
+        counter = OpCounts()
+        sums = core._rescan_sums(u, variant, counter)
+        assert sums.tolist() == [s for s, _ in reference[:u]]
+        assert counter == summed_counts([c for _, c in reference[:u]])
+
+
+# every U up to 64 (many pass layouts), both sides of _SMALL_J = 256 and the far end
+SPREAD = [*range(1, 65), 100, 150, 200, 255, 256, 257, 300]
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_batched_rescans_equal_one_scan_per_rescan(variant):
+    assert_batched_rescans_match(variant, SPREAD)
+
+
+@pytest.mark.parametrize("small_j", [12, 40])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_batched_rescans_hold_for_a_smaller_pair_table(monkeypatch, variant, small_j):
+    monkeypatch.setattr(core, "_SMALL_J", small_j)  # the pass bound shrinks with it
+    # a run spans several passes, then scans each rescan in place
+    assert_batched_rescans_match(variant, [*range(1, 65), 150, 256, 260])
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_each_counted_run_evaluates_exactly_its_closed_form_of_elements(monkeypatch, variant):
+    evaluated = []
+    divisor_tests = core._divisor_tests
+
+    def recording(ks, js, js1, a, *args):
+        evaluated.append(a.size)
+        return divisor_tests(ks, js, js1, a, *args)
+
+    monkeypatch.setattr(core, "_divisor_tests", recording)
+    for u in (1, 2, 3, 4, 17, 100, 256, 257, 300):
+        for mode, tests in ((EvalMode.NAIVE, comb(u, 3)), (EvalMode.INCREMENTAL, comb(u - 1, 2))):
+            evaluated.clear()
+            run_counted(u, u, mode, variant)
+            assert sum(evaluated) == tests
+            assert max(evaluated, default=0) <= core._offset(core._SMALL_J + 1)  # the pass bound
+
+
+def test_audit_rows_build_the_asdict_document():
+    for row in audit_range(2, 12, variant=DELTA):
+        expected = {**dataclasses.asdict(row), "mode": row.mode.value, "variant": row.variant.value}
+        assert row.to_dict() == expected
+        assert list(row.to_dict()) == list(expected)
+        assert row.measured.to_dict() == dataclasses.asdict(row.measured)
+        assert list(row.measured.to_dict()) == [f.name for f in dataclasses.fields(OpCounts)]

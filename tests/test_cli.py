@@ -71,6 +71,7 @@ def test_table_matches_golden_file(capsys):
     (("validate", "--max", "2000"), "validate_max2000.json"),
     (("compare", "--max", "800"), "compare_max800.json"),
     (("audit", "--u-max", "30", "--variant", "delta"), "audit_umax30_delta.json"),
+    (("audit", "--u-min", "2", "--u-max", "80"), "audit_umax80.json"),
     (("trace", "40", "--schedule", "sq"), "trace40_sq.json"),
     (("verify", "--max", "300", "--sweep-max", "40", "--audit-max", "30"), "verify_max300.json"),
 ])

@@ -288,3 +288,19 @@ def test_log_of_an_array_equals_the_log_of_each_numpy_scalar_bit_for_bit():
     for v in (inner, schedules._log(inner)):  # both arrays _lin_bound takes the log of
         reference = np.fromiter(map(math.log, v), float)  # math.log of each np.float64
         assert schedules._log(v).tobytes() == reference.tobytes()
+
+
+def test_scalar_lin_bound_equals_the_log_expression_at_every_x_to_10_000():
+    for x in range(10**4 + 1):
+        inner = math.log(x + math.e)
+        assert schedules._lin_bound(x) == (x + 1) * (inner + math.log(inner))
+
+
+def test_numpy_scalars_take_the_scalar_log():
+    for v in (np.float64(2.5), np.int64(7)):
+        assert type(schedules._log(v)) is float
+        assert schedules._log(v) == math.log(v)
+    for x in (0, 40, 10**4):
+        bound = schedules._lin_bound(np.int64(x))
+        assert not isinstance(bound, np.ndarray)
+        assert bound == schedules._lin_bound(x)
