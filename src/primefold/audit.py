@@ -26,30 +26,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import IndicatorVariant, _indicators, _rescan_sums, _steps, admit
+from .core import IndicatorVariant, OpCounts, _indicators, _rescan_sums, _steps, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat, checked_add
 from .oracle import build_sieve
-
-
-@dataclass
-class OpCounts:
-    """Mutable tally context for one counted run."""
-
-    gcd_calls: int = 0
-    delta_calls: int = 0
-    inner_test_floors: int = 0
-    indicator_floors: int = 0
-    step_floors: int = 0
-    additions: int = 0
-
-    @property
-    def divisor_tests(self) -> int:
-        return self.gcd_calls + self.delta_calls
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # the six tallies, in field order
 
 
 @dataclass(frozen=True)

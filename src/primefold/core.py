@@ -17,8 +17,8 @@ to _SMALL_J as one pass over their (k, j) pairs, larger j's in uint32.  A
 wide slice of those (lo' <= hi // 2) runs k-major, one row per k with the
 j's as the vector, so each numpy call divides by one scalar; a narrower one
 runs j-major, one row per j over k = 2, 3, ... in chunks of _CHUNK k's.
-The naive fold's counted rescans of I(2..i), i <= _SMALL_J, share a few pair
-passes per run (`_rescan_sums`), each rescan on its own copy of its pairs.
+A counted naive run's rescans of I(2..i) are one k-major scan (`_rescan_sums`)
+over each j once per rescan that reaches it, (U-2)(U-1)/2 elements in all.
 Uncounted gcd k-major rows are dealt out over the _WORKERS usable CPUs, since
 np.gcd waits on one hardware division per Euclid step with the GIL released.
 Delta rows stay on the caller's thread: each takes a few microseconds, so
@@ -37,15 +37,13 @@ from __future__ import annotations
 import enum
 import os
 import threading
+from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Dict
+from typing import Dict
 
 import numpy as np
 
 from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .audit import OpCounts
 
 _CHUNK = 1 << 20  # k's per j-major row: bounds a single-j scan's memory
 _SMALL_J = 256  # j's up to here scan as one pass over their (k, j) pairs
@@ -101,6 +99,25 @@ def admit(tests: int, what: str) -> None:
         raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
+@dataclass
+class OpCounts:
+    """Mutable tally context for one counted run (conventions: the audit module)."""
+
+    gcd_calls: int = 0
+    delta_calls: int = 0
+    inner_test_floors: int = 0
+    indicator_floors: int = 0
+    step_floors: int = 0
+    additions: int = 0
+
+    @property
+    def divisor_tests(self) -> int:
+        return self.gcd_calls + self.delta_calls
+
+    def to_dict(self) -> dict:
+        return dict(vars(self))  # the six tallies, in field order
+
+
 _PAIRS = None  # rows k, j, j - 1 and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
 
 
@@ -109,7 +126,7 @@ def _offset(j):
     return (j - 3) * (j - 2) // 2
 
 
-def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, counter: "OpCounts | None"):
+def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, counter: OpCounts | None):
     """The variant's divisor test of every (k, j) element into `a` (`b` is scratch).
 
     `js1` is `js - 1`, which only the delta test reads; callers hoist it out of their rows.
@@ -119,7 +136,7 @@ def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, counter: "OpCou
         np.floor_divide(np.gcd(ks, js, out=a), ks, out=a)
     else:
         np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js1, ks, out=b), out=a)
-    if counter is not None:  # the sum over k belongs to this tally too (see audit.OpCounts)
+    if counter is not None:  # the sum over k belongs to this tally too (see the audit module)
         counter.gcd_calls += a.size if gcd_test else 0
         counter.delta_calls += 0 if gcd_test else a.size
         counter.inner_test_floors += a.size if gcd_test else 2 * a.size
@@ -136,23 +153,18 @@ def _pair_table(last: int):
     return _PAIRS
 
 
-def _pair_hits(pairs, starts, variant: IndicatorVariant, counter: "OpCounts | None"):
-    """The divisor tests of columns of `pairs`, summed per segment from `starts`."""
-    ks, js, js1, a, b = pairs
-    return np.add.reduceat(_divisor_tests(ks, js, js1, a, b, variant, counter), starts)
-
-
-def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
+def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: OpCounts | None = None):
     """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
     first, last = max(lo, 3), min(hi, _SMALL_J)  # j = 2 has no k
     if first <= last:
-        pairs = _pair_table(last)[:, _offset(first) : _offset(last + 1)]
+        ks, js, js1, a, b = _pair_table(last)[:, _offset(first) : _offset(last + 1)]
         starts = _offset(np.arange(first, last + 1)) - _offset(first)
-        hits[first - lo : last - lo + 1] = _pair_hits(pairs, starts, variant, counter)
+        tests = _divisor_tests(ks, js, js1, a, b, variant, counter)
+        hits[first - lo : last - lo + 1] = np.add.reduceat(tests, starts)
     first = max(lo, _SMALL_J + 1)
     if first <= hi // 2:  # k-major: one row per k, the j's as the vector
-        hits[first - lo :] = _k_major(first, hi, variant, counter)
+        hits[first - lo :] = _k_major(np.arange(first, hi + 1, dtype=np.uint32), variant, counter)
         return hits
     for j in range(first, hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
         for k0 in range(2, j, _CHUNK):
@@ -162,14 +174,17 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts |
     return hits
 
 
-def _k_major(first: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None"):
-    """Hits of j in [first, hi] summed over rows k = 2..hi-1, each row over the j's past k.
+def _k_major(js, variant: IndicatorVariant, counter: OpCounts | None):
+    """Hits of each element of the ascending uint32 `js`, summed over rows k = 2..max(js)-1,
+    each row over the suffix of elements past k.
 
     Worker i of w adds rows k = 2+i, 2+i+w, ... into its own buffers, the caller's thread
     being worker 0, and the caller sums the w accumulators.  An exception in any worker,
     an interrupt included, stops every worker before its next row and reaches the caller.
     """
-    js = np.arange(first, hi + 1, dtype=np.uint32)
+    hi = int(js[-1]) if js.size else 2
+    ks = np.arange(2, hi, dtype=np.uint32)  # a Python int k would cost each numpy call a cast
+    starts = np.searchsorted(js, ks, "right").tolist()  # row k's first element
     js1 = js - 1
     split = counter is None and variant is IndicatorVariant.GCD  # see the module docstring
     w = min(_WORKERS, hi - 2) if split else 1
@@ -179,10 +194,9 @@ def _k_major(first: int, hi: int, variant: IndicatorVariant, counter: "OpCounts 
     def rows(i):
         acc, a, b = buffers[i]
         try:
-            for k in range(2 + i, hi, w):
+            for k, s in zip(ks[i::w], starts[i::w]):
                 if stop.is_set():
                     return
-                s = max(k + 1 - first, 0)
                 acc[s:] += _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant, counter)
         except BaseException as exc:  # the caller re-raises it, so no row is silently lost
             errors.append(exc)
@@ -205,7 +219,7 @@ def _k_major(first: int, hi: int, variant: IndicatorVariant, counter: "OpCounts 
     return buffers[:, 0].sum(axis=0, dtype=np.int64)
 
 
-def _floor_indicators(hits, counter: "OpCounts | None"):
+def _floor_indicators(hits, counter: OpCounts | None):
     """I = floor(1 / (1 + hits)) of each hit sum; `counter` tallies each floor and 1 + sum."""
     if counter is not None:
         counter.indicator_floors += hits.size
@@ -213,48 +227,26 @@ def _floor_indicators(hits, counter: "OpCounts | None"):
     return 1 // (1 + hits)
 
 
-def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: "OpCounts | None" = None):
+def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: OpCounts | None = None):
     """I(j) for every j in [lo, hi]; `counter` also tallies each floor and 1 + sum."""
     return _floor_indicators(_scan_hits(lo, hi, variant, counter), counter)
 
 
-def _rescan_sums(u: int, variant: IndicatorVariant, counter: "OpCounts | None"):
+def _rescan_sums(u: int, variant: IndicatorVariant, counter: OpCounts | None):
     """S(i) for i = 1..u (u >= 1), each summed from its own scan of I(2..i), as the naive fold runs.
 
-    From i = 3 on, consecutive rescans share passes of at most as many pairs as the pair table
-    holds.  A pass tests end-to-end copies of its rescans' _PAIRS prefixes in one
-    `_divisor_tests` call, sums the hits per (i, j) and the indicators per i, and adds each
-    rescan's own I(2).  From the first rescan that fills a pass alone, and past _SMALL_J, each
-    rescan scans its prefix in place with its own `_indicators` call.
+    One k-major scan evaluates every rescan: its vector holds each j = 3..u once per rescan
+    i = j..u, j-major, so row k tests each rescan's own (k, j) pairs.  S(i) is rescan i's
+    I(2) plus the sum of its own I(3..i).
     """
-    small = min(u, _SMALL_J)
-    pass_pairs = _offset(_SMALL_J + 1)
-    table = _pair_table(small)
-    sizes = _offset(np.arange(4, small + 2))  # pairs of the rescans i = 3..small
-    ends = np.cumsum(sizes)
-    firsts = _offset(np.arange(3, small + 1))  # where each j = 3..small starts in a prefix
-    sums = [np.zeros(1, np.int64), _indicators(2, min(u, 2), variant, counter)]  # S(1), S(2) = I(2)
-    space = np.empty(5 * min(pass_pairs, int(sizes.sum())), table.dtype)  # every pass's pairs
-    i = 3
-    while i < small:
-        done = ends[i - 3] - sizes[i - 3]  # pairs of the rescans before i
-        end = int(np.searchsorted(ends, done + pass_pairs, "right")) + 2
-        if end == i:  # this rescan and every later one fill a pass alone
-            break
-        own = sizes[i - 3 : end - 2]
-        pairs = space[: 5 * (ends[end - 3] - done)].reshape(5, -1)  # the a, b rows are outputs
-        np.concatenate([table[:3, :n] for n in own], 1, out=pairs[:3])
-        runs = np.arange(i - 2, end - 1)  # the j = 3..i of each rescan i
-        opens = np.cumsum(runs) - runs
-        j3 = np.arange(opens[-1] + runs[-1]) - np.repeat(opens, runs)  # j - 3 of each segment
-        starts = np.repeat(np.cumsum(own) - own, runs) + firsts[j3]
-        ind = _floor_indicators(_pair_hits(pairs, starts, variant, counter), counter)
-        two = _floor_indicators(np.zeros(runs.size, ind.dtype), counter)  # each rescan's I(2)
-        sums.append(two + np.add.reduceat(ind, opens))
-        i = end + 1
-    alone = range(i, u + 1)
-    sums.append(np.array([_indicators(2, r, variant, counter).sum() for r in alone], np.int64))
-    return np.concatenate(sums)
+    counts = np.arange(u - 2, 0, -1)  # the rescans i = j..u of each j = 3..u
+    js = np.repeat(np.arange(3, u + 1, dtype=np.uint32), counts)
+    ind = _floor_indicators(_k_major(js, variant, counter), counter)
+    sums = np.zeros(u + 1, np.int64)  # slot 0 is unused
+    sums[2:] = _floor_indicators(np.zeros(u - 1, np.int64), counter)  # each I(2) = 1 // (1 + 0)
+    firsts = np.repeat((np.cumsum(counts) - counts).astype(np.uint32), counts)  # j's first element
+    np.add.at(sums, js + (np.arange(js.size, dtype=np.uint32) - firsts), ind)  # i = j + (i - j)
+    return sums[1:]
 
 
 class _Store:
@@ -314,7 +306,7 @@ def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> in
     return int(store.pre[i])
 
 
-def _steps(prefix, x: int, counter: "OpCounts | None" = None):
+def _steps(prefix, x: int, counter: OpCounts | None = None):
     """A(i, x) = floor(1 / (1 + floor(S(i) / (x+1)))) of one S(i) or an array of them."""
     a = 1 // (1 + prefix // checked_add(x, 1))
     if counter is not None:  # two floors and two additions (x+1 and 1+q) per element

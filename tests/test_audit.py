@@ -283,12 +283,12 @@ def test_counted_step_divides_by_any_64_bit_x_plus_1(x):
         run_counted(NAT_MAX, 10)  # x + 1 leaves the range
 
 
-# ------------------------------------------------------ batched naive rescans
+# ------------------------------------------------------ counted naive rescans
 
 
 def one_call_per_rescan(u, variant):
-    """S(i) and the tallies of each rescan i = 1..u, one `_indicators(2, i)` call each, as the
-    naive fold ran before it batched its rescans into pair passes."""
+    """S(i) and the tallies of each rescan i = 1..u, one `_indicators(2, i)` call each: the
+    naive fold as written, one scan per rescan."""
     rescans = []
     for i in range(1, u + 1):
         counter = OpCounts()
@@ -310,7 +310,7 @@ def assert_batched_rescans_match(variant, us):
         assert counter == summed_counts([c for _, c in reference[:u]])
 
 
-# every U up to 64 (many pass layouts), both sides of _SMALL_J = 256 and the far end
+# every U up to 64, both sides of _SMALL_J = 256 and the far end
 SPREAD = [*range(1, 65), 100, 150, 200, 255, 256, 257, 300]
 
 
@@ -322,8 +322,7 @@ def test_batched_rescans_equal_one_scan_per_rescan(variant):
 @pytest.mark.parametrize("small_j", [12, 40])
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_batched_rescans_hold_for_a_smaller_pair_table(monkeypatch, variant, small_j):
-    monkeypatch.setattr(core, "_SMALL_J", small_j)  # the pass bound shrinks with it
-    # a run spans several passes, then scans each rescan in place
+    monkeypatch.setattr(core, "_SMALL_J", small_j)  # the reference's scans leave the pair table
     assert_batched_rescans_match(variant, [*range(1, 65), 150, 256, 260])
 
 
@@ -342,7 +341,9 @@ def test_each_counted_run_evaluates_exactly_its_closed_form_of_elements(monkeypa
             evaluated.clear()
             run_counted(u, u, mode, variant)
             assert sum(evaluated) == tests
-            assert max(evaluated, default=0) <= core._offset(core._SMALL_J + 1)  # the pass bound
+            assert max(evaluated, default=0) <= comb(u - 1, 2)  # no call outgrows one scan of I(2..u)
+            if mode is EvalMode.NAIVE:
+                assert len(evaluated) == max(u - 2, 0)  # one k-major row per k = 2..u-1
 
 
 def test_audit_rows_build_the_asdict_document():
