@@ -1,9 +1,13 @@
 """Instrumented re-execution with exact operation-count checks.
 
 Counted runs re-evaluate the folded expression with no shortcut and no
-store: the kernel that fills the store evaluates every divisor test and
-tallies each row it evaluates.  Every k-range reaches j-1 and the i-loop
-reaches the forced limit U.  `AuditRow.match` requires all six tallies:
+store.  The scans of I(2..i) that a run evaluates are one k-major scan
+(`core._counted_scans`) by the kernel that fills the store; the incremental
+runs of one audit share one.  The kernel records the start s of every row
+it runs, and a row tests the elements [s, N), so the divisor tests are
+tallied from the rows that ran and the floors from the elements floored.
+Every k-range reaches j-1 and the i-loop reaches the forced limit U.
+`AuditRow.match` requires all six tallies:
 
     divisor tests:     (U-2)(U-1)U / 6 naive,  (U-2)(U-1) / 2 incremental
     additions:         (U+1)^2 naive,          5U incremental
@@ -26,7 +30,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import IndicatorVariant, OpCounts, _indicators, _rescan_sums, _steps, admit
+from .core import IndicatorVariant, OpCounts, _counted_scans, _steps, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat, checked_add
@@ -71,6 +75,41 @@ def summed_tests(u_min: int, u_max: int, mode: EvalMode) -> int:
     return comb(u_max + k - 3, k) - comb(u_min + k - 4, k)
 
 
+def _fold(x: int, prefixes, variant: IndicatorVariant, tests: int, floors: int, resums: int):
+    """(value, tallies) of a counted run: its scans ran `tests` divisor tests and `floors`
+    indicator floors, its S(1..U) = `prefixes` took `resums` additions, and it steps them at x."""
+    gcd = variant is IndicatorVariant.GCD
+    counts = OpCounts(
+        gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
+        inner_test_floors=tests if gcd else 2 * tests,
+        indicator_floors=floors, additions=floors + resums,  # each I's 1 + sum, then the S's
+    )
+    total = int(_steps(prefixes, x, counts).sum())  # uint64 holds any x + 1
+    counts.additions += prefixes.size + 1  # the outer sum's U accumulations and its final 1 + sum
+    return checked_add(1, total), counts
+
+
+def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,
+                  variant: IndicatorVariant) -> list:
+    """(value, tallies) of the counted run at each U = u_min..u_max, x = xs[U - u_min].
+
+    Each run's scans are one `_counted_scans` call, and the incremental runs share one.
+    """
+    runs = []
+    if mode is EvalMode.INCREMENTAL:  # run U scans I(2..U) once; S carries over, one + per i
+        ind, tests, floors = _counted_scans(u_min, u_max, variant)
+        for r, x in enumerate(xs):
+            prefixes = np.cumsum(ind[r, 1 : u_min + r + 1], dtype=np.uint64)  # S(1..U)
+            runs.append(_fold(x, prefixes, variant, int(tests[r]), int(floors[r]), prefixes.size))
+        return runs
+    for u, x in zip(range(u_min, u_max + 1), xs):  # run U re-scans I(2..i) for each i = 1..U
+        ind, tests, floors = _counted_scans(1, u, variant)
+        floored = int(floors.sum())  # each S(i) re-sums its own scan's I's, one + per I
+        runs.append(_fold(x, ind.sum(axis=1, dtype=np.uint64), variant, int(tests.sum()),
+                          floored, floored))
+    return runs
+
+
 def run_counted(
     x: int,
     u_override: int,
@@ -87,16 +126,7 @@ def run_counted(
     if u_override < 1:
         raise DomainError(f"run_counted requires U >= 1, got {u_override}")
     admit(summed_tests(u_override, u_override, mode), f"a {mode.value} run at U = {u_override}")
-    counter = OpCounts()
-    if mode is EvalMode.INCREMENTAL:  # one scan of I(2..U); S carries over, one update per i
-        prefixes = np.cumsum([0, *_indicators(2, u_override, variant, counter)])
-        counter.additions += u_override
-    else:  # every i re-scans I(2..i) and re-sums S(i) from scratch
-        prefixes = _rescan_sums(u_override, variant, counter)
-        counter.additions += u_override * (u_override - 1) // 2  # i - 1 per S(i)
-    total = int(_steps(np.array(prefixes, np.uint64), x, counter).sum())  # uint64 holds any x + 1
-    counter.additions += u_override + 1  # the outer sum's U accumulations and its final 1 + sum
-    return checked_add(1, total), counter
+    return _counted_runs([x], u_override, u_override, mode, variant)[0]
 
 
 def admit_audit(
@@ -124,11 +154,9 @@ def audit_range(
     """
     u_min, u_max = admit_audit(u_min, u_max, modes)
     table = build_sieve(u_max)
-    rows = []
-    for u in range(u_min, u_max + 1):
-        x = table.pi(u)
-        for mode in modes:
-            _, measured = run_counted(x, u, mode, variant)
-            form = closed_form_naive if mode is EvalMode.NAIVE else closed_form_incremental
-            rows.append(AuditRow(u, mode, variant, measured, predicted_gcd=form(u)))
-    return tuple(rows)
+    us = range(u_min, u_max + 1)
+    runs = {mode: _counted_runs([table.pi(u) for u in us], u_min, u_max, mode, variant)
+            for mode in modes}
+    form = {EvalMode.NAIVE: closed_form_naive, EvalMode.INCREMENTAL: closed_form_incremental}
+    return tuple(AuditRow(u, mode, variant, runs[mode][r][1], predicted_gcd=form[mode](u))
+                 for r, u in enumerate(us) for mode in modes)

@@ -12,22 +12,21 @@ and gcd, evaluated exactly as written (no boolean shortcuts for the floors):
 Both divisor tests equal 1 exactly when k divides j, so the indicator's
 inner sum counts proper divisors and I(j) = 1 iff j is prime.
 
-One numpy k-scan kernel, `_scan_hits`, evaluates every divisor test: j's up
-to _SMALL_J as one pass over their (k, j) pairs, larger j's in uint32.  A
-wide slice of those (lo' <= hi // 2) runs k-major, one row per k with the
-j's as the vector, so each numpy call divides by one scalar; a narrower one
-runs j-major, one row per j over k = 2, 3, ... in chunks of _CHUNK k's.
-A counted naive run's rescans of I(2..i) are one k-major scan (`_rescan_sums`)
-over each j once per rescan that reaches it, (U-2)(U-1)/2 elements in all.
-Uncounted gcd k-major rows are dealt out over the _WORKERS usable CPUs, since
-np.gcd waits on one hardware division per Euclid step with the GIL released.
-Delta rows stay on the caller's thread: each takes a few microseconds, so
-threads would contend for the GIL.  Counted rows stay there too, so a counter
-has one writer.
-Given an `OpCounts` via `counter`, it reads no store and tallies every row it
-evaluates.  Uncounted runs read a per-variant store of I(j) (int8) and S(j)
-(int64) that the kernel fills: `_Store.fill(m)` scans exactly the j <= m the
-store lacks, so `prefix_count(i)` scans no j past i.
+One numpy k-scan kernel evaluates every divisor test, in one of two layouts.
+A wide slice (max(lo, 3) <= hi // 2) runs k-major (`_k_major`): one row per k
+with the j's as a uint32 vector, so each numpy call divides by one scalar.  A
+narrower one runs j-major: one row per j over k = 2, 3, ... in chunks of
+_CHUNK k's.  Uncounted gcd k-major rows are dealt out over the _WORKERS usable
+CPUs, since np.gcd waits on one hardware division per Euclid step with the GIL
+released.  Delta rows stay on the caller's thread: each takes a few
+microseconds, so threads would contend for the GIL.
+Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
+the kernel fills: `_Store.fill(m)` scans exactly the j <= m the store lacks,
+so `prefix_count(i)` scans no j past i.  A counted run reads no store: it is
+one `_counted_scans` call, one k-major scan over each j once per scan of
+I(2..i) that reaches it, on the caller's thread.  `_k_major` records the start
+s of every row it ran there, and a row from s tests the elements [s, N), so
+every divisor test tallied is one that ran.
 Entry points, store fills and single-j scans first pass their count of
 divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 """
@@ -46,7 +45,6 @@ import numpy as np
 from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
 
 _CHUNK = 1 << 20  # k's per j-major row: bounds a single-j scan's memory
-_SMALL_J = 256  # j's up to here scan as one pass over their (k, j) pairs
 MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # usable CPUs: the threads of a gcd k-major scan
@@ -118,86 +116,57 @@ class OpCounts:
         return dict(vars(self))  # the six tallies, in field order
 
 
-_PAIRS = None  # rows k, j, j - 1 and two outputs of the (k, j) pairs of j = 3.._SMALL_J, j-major
-
-
-def _offset(j):
-    """Index of j's first pair in _PAIRS: sum_{i=3}^{j-1} (i - 2)."""
-    return (j - 3) * (j - 2) // 2
-
-
-def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, counter: OpCounts | None):
+def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant):
     """The variant's divisor test of every (k, j) element into `a` (`b` is scratch).
 
     `js1` is `js - 1`, which only the delta test reads; callers hoist it out of their rows.
     """
-    gcd_test = variant is IndicatorVariant.GCD
-    if gcd_test:
-        np.floor_divide(np.gcd(ks, js, out=a), ks, out=a)
-    else:
-        np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js1, ks, out=b), out=a)
-    if counter is not None:  # the sum over k belongs to this tally too (see the audit module)
-        counter.gcd_calls += a.size if gcd_test else 0
-        counter.delta_calls += 0 if gcd_test else a.size
-        counter.inner_test_floors += a.size if gcd_test else 2 * a.size
-    return a
+    if variant is IndicatorVariant.GCD:
+        return np.floor_divide(np.gcd(ks, js, out=a), ks, out=a)
+    return np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js1, ks, out=b), out=a)
 
 
-def _pair_table(last: int):
-    """_PAIRS, built for j = 3.._SMALL_J when it does not yet reach j = last."""
-    global _PAIRS
-    if _PAIRS is None or _PAIRS.shape[1] < _offset(last + 1):
-        js = np.arange(3, _SMALL_J + 1, dtype=np.int32)
-        ks = np.concatenate([np.arange(2, j, dtype=np.int32) for j in js])
-        _PAIRS = np.stack([ks, np.repeat(js, js - 2), np.repeat(js - 1, js - 2), ks, ks])
-    return _PAIRS
-
-
-def _scan_hits(lo: int, hi: int, variant: IndicatorVariant, counter: OpCounts | None = None):
+def _scan_hits(lo: int, hi: int, variant: IndicatorVariant):
     """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
+    if max(lo, 3) <= hi // 2:  # k-major: one row per k, the j's as the vector (no row reaches 2)
+        return _k_major(np.arange(lo, hi + 1, dtype=np.uint32), variant)
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
-    first, last = max(lo, 3), min(hi, _SMALL_J)  # j = 2 has no k
-    if first <= last:
-        ks, js, js1, a, b = _pair_table(last)[:, _offset(first) : _offset(last + 1)]
-        starts = _offset(np.arange(first, last + 1)) - _offset(first)
-        tests = _divisor_tests(ks, js, js1, a, b, variant, counter)
-        hits[first - lo : last - lo + 1] = np.add.reduceat(tests, starts)
-    first = max(lo, _SMALL_J + 1)
-    if first <= hi // 2:  # k-major: one row per k, the j's as the vector
-        hits[first - lo :] = _k_major(np.arange(first, hi + 1, dtype=np.uint32), variant, counter)
-        return hits
-    for j in range(first, hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
+    for j in range(max(lo, 3), hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
         for k0 in range(2, j, _CHUNK):
             ks = np.arange(k0, min(j, k0 + _CHUNK), dtype=np.uint32)
             a, b = np.empty((2, ks.size), np.uint32)
-            hits[j - lo] += int(_divisor_tests(ks, j, j - 1, a, b, variant, counter).sum())
+            hits[j - lo] += int(_divisor_tests(ks, j, j - 1, a, b, variant).sum())
     return hits
 
 
-def _k_major(js, variant: IndicatorVariant, counter: OpCounts | None):
+def _k_major(js, variant: IndicatorVariant, ran: list | None = None):
     """Hits of each element of the ascending uint32 `js`, summed over rows k = 2..max(js)-1,
     each row over the suffix of elements past k.
 
-    Worker i of w adds rows k = 2+i, 2+i+w, ... into its own buffers, the caller's thread
-    being worker 0, and the caller sums the w accumulators.  An exception in any worker,
-    an interrupt included, stops every worker before its next row and reaches the caller.
+    A counted scan passes `ran`: its rows run on the caller's thread, which appends the start
+    of each row once that row has run.  Otherwise worker i of w adds the gcd rows k = 2+i,
+    2+i+w, ... into its own accumulator, the caller's thread being worker 0, and the caller
+    sums the w accumulators.  An exception in any worker, an interrupt included, stops every
+    worker before its next row and reaches the caller.
     """
     hi = int(js[-1]) if js.size else 2
     ks = np.arange(2, hi, dtype=np.uint32)  # a Python int k would cost each numpy call a cast
     starts = np.searchsorted(js, ks, "right").tolist()  # row k's first element
     js1 = js - 1
-    split = counter is None and variant is IndicatorVariant.GCD  # see the module docstring
+    split = ran is None and variant is IndicatorVariant.GCD  # see the module docstring
     w = min(_WORKERS, hi - 2) if split else 1
-    buffers = np.zeros((w, 3, js.size), np.uint32)
+    accs = np.zeros((w, js.size), np.uint32)
     stop, errors = threading.Event(), []
 
     def rows(i):
-        acc, a, b = buffers[i]
         try:
+            acc, (a, b) = accs[i], np.empty((2, js.size), np.uint32)
             for k, s in zip(ks[i::w], starts[i::w]):
                 if stop.is_set():
                     return
-                acc[s:] += _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant, counter)
+                acc[s:] += _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant)
+                if ran is not None:
+                    ran.append(s)
         except BaseException as exc:  # the caller re-raises it, so no row is silently lost
             errors.append(exc)
             stop.set()
@@ -216,37 +185,33 @@ def _k_major(js, variant: IndicatorVariant, counter: OpCounts | None):
                 worker.join()
     if errors:
         raise errors[0]
-    return buffers[:, 0].sum(axis=0, dtype=np.int64)
+    return accs.sum(axis=0, dtype=np.uint32)
 
 
-def _floor_indicators(hits, counter: OpCounts | None):
-    """I = floor(1 / (1 + hits)) of each hit sum; `counter` tallies each floor and 1 + sum."""
-    if counter is not None:
-        counter.indicator_floors += hits.size
-        counter.additions += hits.size
-    return 1 // (1 + hits)
+def _indicators(lo: int, hi: int, variant: IndicatorVariant):
+    """I(j) = floor(1 / (1 + hits)) for every j in [lo, hi]."""
+    return 1 // (1 + _scan_hits(lo, hi, variant))
 
 
-def _indicators(lo: int, hi: int, variant: IndicatorVariant, counter: OpCounts | None = None):
-    """I(j) for every j in [lo, hi]; `counter` also tallies each floor and 1 + sum."""
-    return _floor_indicators(_scan_hits(lo, hi, variant, counter), counter)
+def _counted_scans(u_min: int, u_max: int, variant: IndicatorVariant):
+    """The scans I(2..i) of i = u_min..u_max (1 <= u_min <= u_max), as one counted k-major scan.
 
-
-def _rescan_sums(u: int, variant: IndicatorVariant, counter: OpCounts | None):
-    """S(i) for i = 1..u (u >= 1), each summed from its own scan of I(2..i), as the naive fold runs.
-
-    One k-major scan evaluates every rescan: its vector holds each j = 3..u once per rescan
-    i = j..u, j-major, so row k tests each rescan's own (k, j) pairs.  S(i) is rescan i's
-    I(2) plus the sum of its own I(3..i).
+    Its uint32 vector holds each j = 2..u_max once per scan i = max(j, u_min)..u_max, j-major,
+    so row k tests each scan's own (k, j) pairs; no row reaches j = 2, so I(2) = 1 // (1 + 0).
+    Returns the I's as a table (row i - u_min, column j, 0 past i) and, per scan, its divisor
+    tests and indicator floors.  A row from start s tests the elements [s, N), so the tests
+    come from the starts of the rows that ran, and the floors from the elements floored.
     """
-    counts = np.arange(u - 2, 0, -1)  # the rescans i = j..u of each j = 3..u
-    js = np.repeat(np.arange(3, u + 1, dtype=np.uint32), counts)
-    ind = _floor_indicators(_k_major(js, variant, counter), counter)
-    sums = np.zeros(u + 1, np.int64)  # slot 0 is unused
-    sums[2:] = _floor_indicators(np.zeros(u - 1, np.int64), counter)  # each I(2) = 1 // (1 + 0)
-    firsts = np.repeat((np.cumsum(counts) - counts).astype(np.uint32), counts)  # j's first element
-    np.add.at(sums, js + (np.arange(js.size, dtype=np.uint32) - firsts), ind)  # i = j + (i - j)
-    return sums[1:]
+    j = np.arange(u_max + 1, dtype=np.uint32)[:, None]
+    holds = (j >= 2) & (j <= np.arange(u_min, u_max + 1, dtype=np.uint32))  # [j, i - u_min]
+    ran = []
+    hits = _k_major(np.broadcast_to(j, holds.shape)[holds], variant, ran)  # j-major: ascending
+    tested = np.zeros(hits.size, np.uint32)  # the rows that tested each element: those from s <= it
+    np.add.at(tested, np.array(ran, np.intp), 1)
+    ind, tests = np.zeros(holds.shape, np.uint8), np.zeros(holds.shape, np.uint32)
+    ind[holds] = 1 // (1 + hits)
+    tests[holds] = np.cumsum(tested, dtype=np.uint32, out=tested)
+    return ind.T, tests.sum(axis=0, dtype=np.int64), holds.sum(axis=0)
 
 
 class _Store:

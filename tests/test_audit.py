@@ -7,6 +7,7 @@ counts.
 """
 
 import dataclasses
+import itertools
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from primefold import (
     RangeError,
     audit,
     audit_range,
+    build_sieve,
     closed_form_incremental,
     closed_form_naive,
     core,
@@ -167,10 +169,8 @@ def test_additions_ratio_bounded_for_incremental():
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 @pytest.mark.parametrize("mode", [EvalMode.NAIVE, EvalMode.INCREMENTAL])
-def test_counted_runs_hold_across_both_scan_layouts(monkeypatch, small_sieve, variant, mode):
-    monkeypatch.setattr(core, "_CHUNK", 7)
-    monkeypatch.setattr(core, "_SMALL_J", 12)  # U = 14, 32, 104 scan j's past the pairs
-    for x in (0, 4, 9, 25):
+def test_counted_runs_return_the_prime_with_closed_form_tallies(small_sieve, variant, mode):
+    for x in (0, 4, 9, 25):  # U = 5, 14, 32, 104
         expected = small_sieve.nth_prime(x + 1)
         u = expected + 3
         value, counts = run_counted(x, u, mode, variant)
@@ -183,7 +183,7 @@ def test_counted_runs_hold_across_both_scan_layouts(monkeypatch, small_sieve, va
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_counted_run_at_u_600_matches_all_six_closed_forms(variant):
-    # U = 600 scans the j's past the pairs k-major
+    # U = 600: one k-major scan of 598 rows
     _, counts = run_counted(109, 600, EvalMode.INCREMENTAL, variant)  # pi(600) = 109
     tests = closed_form_incremental(600)
     assert counts.gcd_calls == (tests if variant is GCD else 0)
@@ -211,7 +211,7 @@ def test_counted_runs_never_read_or_fill_the_store():
     core._reset_stores()
     for variant in (GCD, DELTA):
         for mode in (EvalMode.NAIVE, EvalMode.INCREMENTAL):
-            run_counted(5, 300, mode, variant)  # j's on both sides of _SMALL_J
+            run_counted(5, 300, mode, variant)
         assert core._STORES[variant].n == 1
 
 
@@ -286,44 +286,67 @@ def test_counted_step_divides_by_any_64_bit_x_plus_1(x):
 # ------------------------------------------------------ counted naive rescans
 
 
-def one_call_per_rescan(u, variant):
-    """S(i) and the tallies of each rescan i = 1..u, one `_indicators(2, i)` call each: the
-    naive fold as written, one scan per rescan."""
-    rescans = []
-    for i in range(1, u + 1):
-        counter = OpCounts()
-        rescans.append((int(core._indicators(2, i, variant, counter).sum()), counter))
-    return rescans
+def one_scan_at_a_time(variant, scans):
+    """(I(2..i), divisor tests) of each scan i, one `_scan_hits(2, i)` call each: the tests are
+    the elements that `_divisor_tests` evaluated, counted as it evaluates them."""
+    tested, reference = [], []
+    divisor_tests = core._divisor_tests
+
+    def recording(ks, js, js1, a, *args):
+        tested[-1] += a.size
+        return divisor_tests(ks, js, js1, a, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_divisor_tests", recording)
+        for i in scans:
+            tested.append(0)
+            reference.append(((1 // (1 + core._scan_hits(2, i, variant))).tolist(), tested[-1]))
+    return reference
 
 
-def summed_counts(counters):
-    fields = [f.name for f in dataclasses.fields(OpCounts)]
-    return OpCounts(**{name: sum(getattr(c, name) for c in counters) for name in fields})
-
-
-def assert_batched_rescans_match(variant, us):
-    reference = one_call_per_rescan(max(us), variant)
-    for u in us:
-        counter = OpCounts()
-        sums = core._rescan_sums(u, variant, counter)
-        assert sums.tolist() == [s for s, _ in reference[:u]]
-        assert counter == summed_counts([c for _, c in reference[:u]])
-
-
-# every U up to 64, both sides of _SMALL_J = 256 and the far end
-SPREAD = [*range(1, 65), 100, 150, 200, 255, 256, 257, 300]
+# every U up to 64, and wider scans
+SPREAD = [*range(1, 65), 100, 150, 200, 255, 256, 257, 260, 300]
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_batched_rescans_equal_one_scan_per_rescan(variant):
-    assert_batched_rescans_match(variant, SPREAD)
+    reference = one_scan_at_a_time(variant, range(1, max(SPREAD) + 1))
+    for u in SPREAD:  # a naive run at U evaluates the scans i = 1..U
+        table, tests, floors = core._counted_scans(1, u, variant)
+        assert table.shape == (u, u + 1)
+        for i, (ind, _) in enumerate(reference[:u], 1):
+            assert table[i - 1].tolist() == [0, 0, *ind, *[0] * (u - i)]
+        assert tests.tolist() == [tested for _, tested in reference[:u]]
+        assert floors.tolist() == [len(ind) for ind, _ in reference[:u]]
 
 
-@pytest.mark.parametrize("small_j", [12, 40])
+def one_row_at_a_time(variant, us, xs):
+    """(value, tallies) of each incremental run at U with x, from its own scan of I(2..U) and a
+    fold in Python; every tally is counted from the elements it covers."""
+    gcd, reference = variant is GCD, []
+    for (ind, tested), x in zip(one_scan_at_a_time(variant, us), xs):
+        prefixes = list(itertools.accumulate([0, *ind]))  # S(1..U), one update per i
+        steps = [1 // (1 + s // (x + 1)) for s in prefixes]  # x + 1 and 1 + q per step
+        counts = OpCounts(
+            gcd_calls=tested if gcd else 0, delta_calls=0 if gcd else tested,
+            inner_test_floors=(1 if gcd else 2) * tested, indicator_floors=len(ind),
+            step_floors=2 * len(steps),
+            additions=len(ind) + len(prefixes) + 2 * len(steps) + len(steps) + 1,
+        )
+        reference.append((1 + sum(steps), counts))
+    return reference
+
+
 @pytest.mark.parametrize("variant", [GCD, DELTA])
-def test_batched_rescans_hold_for_a_smaller_pair_table(monkeypatch, variant, small_j):
-    monkeypatch.setattr(core, "_SMALL_J", small_j)  # the reference's scans leave the pair table
-    assert_batched_rescans_match(variant, [*range(1, 65), 150, 256, 260])
+@pytest.mark.parametrize("u_min,u_max", [(2, 80), (5, 64), (201, 260), (2040, 2042)])
+def test_incremental_audit_rows_equal_one_row_at_a_time(variant, u_min, u_max):
+    us = range(u_min, u_max + 1)
+    xs = [build_sieve(u_max).pi(u) for u in us]
+    reference = one_row_at_a_time(variant, us, xs)
+    rows = audit_range(u_min, u_max, (EvalMode.INCREMENTAL,), variant)
+    assert [row.u for row in rows] == list(us)
+    assert [row.measured for row in rows] == [counts for _, counts in reference]
+    assert audit._counted_runs(xs, u_min, u_max, EvalMode.INCREMENTAL, variant) == reference
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])

@@ -369,7 +369,6 @@ def test_interrupt_during_a_split_scan_exits_130_within_two_seconds():
 
 @pytest.mark.parametrize("argv", [("nth-prime", "600"), ("table", "--max", "60")])
 def test_json_output_is_the_same_on_one_worker_and_two(monkeypatch, capsys, argv):
-    monkeypatch.setattr(core, "_SMALL_J", 40)  # table's j <= 283 now scan k-major too
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(core, "_WORKERS", workers)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from primefold import (
     NAT_MAX,
     DomainError,
+    EvalMode,
     IndicatorVariant,
     OpCounts,
     RangeError,
@@ -26,6 +27,7 @@ from primefold import (
     divisor_hit,
     indicator,
     prefix_count,
+    run_counted,
     step,
 )
 from primefold.nat import as_nat, checked_add, checked_mul
@@ -138,37 +140,44 @@ def test_indicator_variants_agree_and_match_oracle(j):
        st.sampled_from([GCD, DELTA]))
 def test_counted_path_matches_cached_value(j, variant):
     cached = indicator(j, variant)
-    assert core._indicators(j, j, variant, OpCounts())[0] == cached
+    table, _, _ = core._counted_scans(j, j, variant)  # the one scan I(2..j)
+    assert table[0, j] == cached
+    assert table[0, :2].tolist() == [0, 0]
+
+
+def trial_tests(i):
+    """Divisor tests of the scan I(2..i), counted one k at a time: k = 2..j-1 for each j."""
+    return sum(1 for j in range(2, i + 1) for k in range(2, j))
 
 
 def test_counted_indicator_tallies_sites():
-    counter = OpCounts()
-    assert core._indicators(9, 9, GCD, counter)[0] == 0
-    assert counter.gcd_calls == 7  # k = 2..8
-    assert counter.inner_test_floors == 7
-    assert counter.indicator_floors == 1
-    assert counter.additions == 1  # the 1 + sum
-    counter = OpCounts()
-    assert core._indicators(9, 9, DELTA, counter)[0] == 0
-    assert counter.gcd_calls == 0
-    assert counter.delta_calls == 7
-    assert counter.inner_test_floors == 14  # two floors per delta
+    for variant in (GCD, DELTA):
+        table, tests, floors = core._counted_scans(9, 9, variant)
+        assert table.tolist() == [[0, 0, 1, 1, 0, 1, 0, 1, 0, 0]]  # I(2..9)
+        assert tests.tolist() == [trial_tests(9)] == [28]
+        assert floors.tolist() == [8]  # one floor per j = 2..9, I(2) = 1 // (1 + 0) included
+        _, counts = run_counted(4, 9, EvalMode.INCREMENTAL, variant)
+        assert counts.gcd_calls == (28 if variant is GCD else 0)
+        assert counts.delta_calls == (0 if variant is GCD else 28)
+        assert counts.inner_test_floors == (28 if variant is GCD else 56)  # two floors per delta
+        assert counts.indicator_floors == 8
+        assert counts.additions == 8 + 9 + 18 + 10  # 1 + sums, S updates, steps', outer sum
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
-    monkeypatch.setattr(core, "_CHUNK", 7)  # most j's past the pairs now span several chunks
-    monkeypatch.setattr(core, "_SMALL_J", 40)  # j <= 40 run as one pass over their (k, j) pairs
+    monkeypatch.setattr(core, "_CHUNK", 7)  # most j-major rows now span several chunks
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 300)]
-    for lo in (2, 3, 17, 40, 41):
+    for lo in (2, 3, 17, 40, 41, 148, 149, 150, 151):  # k-major up to lo = 299 // 2, j-major past it
         assert core._scan_hits(lo, 299, variant).tolist() == expected[lo - 2 :]
-    for lo in (148, 149, 150, 151):  # k-major up to lo = 299 // 2, j-major past it
-        counter = OpCounts()
-        assert core._scan_hits(lo, 299, variant, counter).tolist() == expected[lo - 2 :]
-        tests = sum(j - 2 for j in range(lo, 300))
-        assert counter.gcd_calls == (tests if variant is GCD else 0)
-        assert counter.delta_calls == (0 if variant is GCD else tests)
-        assert counter.inner_test_floors == (1 if variant is GCD else 2) * tests
+    for lo in (2, 148, 151):  # counted scans I(2..i), i = lo..299, run k-major at any lo
+        table, tests, floors = core._counted_scans(lo, 299, variant)
+        assert tests.tolist() == [trial_tests(i) for i in range(lo, 300)]
+        assert floors.tolist() == [i - 1 for i in range(lo, 300)]
+        for i in (lo, 299):
+            assert table[i - lo, 2:].tolist() == [
+                int(n == 0) if j <= i else 0 for j, n in enumerate(expected, 2)
+            ]
 
 
 def test_worker_count_is_the_usable_cpu_count():
@@ -179,21 +188,17 @@ def test_worker_count_is_the_usable_cpu_count():
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers):
     monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
-    monkeypatch.setattr(core, "_SMALL_J", 40)  # k-major from lo = 41 once lo <= hi // 2
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 302)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often enough to expose a lost update
     try:
         for lo, hi in ((2, 300), (41, 300), (41, 301), (100, 299), (150, 301)):  # 296-299 rows
             assert core._scan_hits(lo, hi, variant).tolist() == expected[lo - 2 : hi - 1]
+        table, tests, _ = core._counted_scans(41, 301, variant)  # under the same worker counts
     finally:
         sys.setswitchinterval(interval)
-    counter = OpCounts()  # a counted scan keeps one thread and today's tallies
-    assert core._scan_hits(41, 301, variant, counter).tolist() == expected[39:]
-    tests = sum(j - 2 for j in range(41, 302))
-    assert counter.gcd_calls == (tests if variant is GCD else 0)
-    assert counter.delta_calls == (0 if variant is GCD else tests)
-    assert counter.inner_test_floors == (1 if variant is GCD else 2) * tests
+    assert tests.tolist() == [trial_tests(i) for i in range(41, 302)]
+    assert table[-1, 2:].tolist() == [int(n == 0) for n in expected]
 
 
 class _RowFailed(Exception):
@@ -202,11 +207,10 @@ class _RowFailed(Exception):
 
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 2)
-    monkeypatch.setattr(core, "_SMALL_J", 40)
     tests = core._divisor_tests
 
     def failing(ks, *args):
-        if ks == 5:  # a k-major row k (no pairs or j-major rows here); worker 1 runs k = 3, 5, ...
+        if ks == 5:  # a k-major row k (no j-major rows here); worker 1 runs k = 3, 5, ...
             raise _RowFailed(threading.current_thread().name)
         return tests(ks, *args)
 

@@ -89,9 +89,9 @@ def record_scans(monkeypatch, kernel_variant=None):
     calls = []
     scan = core._scan_hits
 
-    def recording(lo, hi, variant, counter=None):
+    def recording(lo, hi, variant):
         calls.append((lo, hi))
-        return scan(lo, hi, kernel_variant or variant, counter)
+        return scan(lo, hi, kernel_variant or variant)
 
     monkeypatch.setattr(core, "_scan_hits", recording)
     return calls
