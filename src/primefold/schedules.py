@@ -13,16 +13,18 @@ admits `evaluate` only for x <= 4,853 and its count never decreases in x
 (tested to 10^6), so validate_schedule's sieve check of u_lin on [0, 10^4]
 covers every admitted x; a sieve test holds Dusart's p_lower there too.
 
-The sieve sweeps run over arrays of x, with math.log on each element: numpy's
-SIMD log may differ in the last ulp between builds and move a ceiling.  A
-float margin within 4 ulps of its bound counts as a violation, not as proof.
+The sieve sweeps run over blocks of _BLOCK x's, so no array grows with x_max,
+and validate_schedules takes each x's two logarithms once for the lin rows and
+the real bound together.  They take math.log of each element: numpy's SIMD log
+may differ in the last ulp between builds and move a ceiling.  A float margin
+within 4 ulps of its bound counts as a violation, not as proof.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .oracle import SieveTable, sieve_for_nth
 from .reports import BoundsReport
 
 WILLANS_EXACT_MAX_X = 62  # 2^(x+1) fits a 64-bit natural iff x <= 62
+_BLOCK = 1 << 12  # x's per sweep block: no array of a sweep grows with x_max
 
 
 class Schedule(enum.Enum):
@@ -100,37 +103,75 @@ def _willans_covers(x: int, p: int) -> bool:
     return (p - 1).bit_length() <= x + 1
 
 
+class _Claim:
+    """One claim's (x, lhs, rhs) violation rows and least slack, gathered block by block."""
+
+    def __init__(self, claim_id: str, x_min: int, x_max: int) -> None:
+        self.claim_id, self.x_range = claim_id, (x_min, x_max)
+        self.rows: List[Tuple[int, float, float]] = []
+        self.least: Optional[float] = None
+
+    def add(self, xs, lhs, rhs, slack, bad) -> None:
+        self.rows += [(int(x), float(a), float(b)) for x, a, b in zip(xs[bad], lhs[bad], rhs[bad])]
+        if slack.size:
+            least = float(slack.min())
+            self.least = least if self.least is None else min(self.least, least)
+
+    def report(self) -> BoundsReport:
+        return BoundsReport(self.claim_id, self.x_range, tuple(self.rows), self.least)
+
+
+def _sweep(
+    x_max: int, table: Optional[SieveTable], kinds: Tuple[Schedule, ...], growth: bool
+) -> List[BoundsReport]:
+    """validate_schedule's report for each of `kinds`, then check_lin_growth_bound's if `growth`,
+    from one pass over x in [0, x_max] in blocks of _BLOCK: one _lin_bound call per block."""
+    x_max = as_nat(x_max, "x_max")
+    if table is None:
+        table = sieve_for_nth(x_max + 1)
+    table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
+    claims = [_Claim(f"schedule-{kind.value}-covers-next-prime", 0, x_max) for kind in kinds]
+    real = _Claim("lin-schedule-real-bound", 5, x_max)
+    for lo in range(0, x_max + 1, _BLOCK):
+        xs = np.arange(lo, min(lo + _BLOCK, x_max + 1))
+        p = table.prime_list[lo : lo + xs.size]
+        if growth or Schedule.LINLOG in kinds:
+            bound = _lin_bound(xs)
+        for kind, claim in zip(kinds, claims):
+            if kind is Schedule.WILLANS:  # the exponent x + 1 against the bits of p, exactly
+                claim.rows += [(x, float(x + 1), float(q.bit_length()))
+                               for x, q in zip(xs.tolist(), p.tolist()) if not _willans_covers(x, q)]
+                continue
+            if kind is Schedule.SQUARE:  # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
+                limits = (xs + 1) ** 2
+            else:
+                limits = np.ceil(bound).astype(np.int64) + 10
+            need = p - 1
+            slack = limits - need
+            claim.add(xs, limits, need, slack, slack < 0)
+        if growth:
+            g = slice(max(5 - lo, 0), None)  # the real bound is claimed from x = 5
+            margin = bound[g] - p[g]
+            real.add(xs[g], bound[g], p[g], margin, margin <= 4 * np.spacing(bound[g]))
+    return [claim.report() for claim in claims] + ([real.report()] if growth else [])
+
+
 def validate_schedule(
     kind: Schedule, x_max: int, table: Optional[SieveTable] = None
 ) -> BoundsReport:
     """Certify the defining inequality of `kind` on [0, x_max] via the sieve.
 
-    Square/Linlog rows require U(x) >= p_{x+1} - 1, checked over arrays;
+    Square/Linlog rows require U(x) >= p_{x+1} - 1, checked over blocks of x;
     Willans rows require the stronger W(x) >= p_{x+1}, one x at a time,
     tested exactly on the bit length of p.
     """
-    x_max = as_nat(x_max, "x_max")
-    if table is None:
-        table = sieve_for_nth(x_max + 1)
-    table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
-    need = table.prime_list[: x_max + 1] - 1
-    violations, min_slack = [], None
-    if kind is Schedule.WILLANS:  # rows hold the exponent x + 1 and the bits of p
-        for x, p in enumerate((need + 1).tolist()):
-            if not _willans_covers(x, p):
-                violations.append((x, float(x + 1), float(p.bit_length())))
-    else:
-        xs = np.arange(x_max + 1)
-        if kind is Schedule.SQUARE:  # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
-            limits = (xs + 1) ** 2
-        else:
-            limits = np.ceil(_lin_bound(xs)).astype(np.int64) + 10
-        slack = limits - need
-        violations = [(int(x), float(limits[x]), float(need[x])) for x in np.flatnonzero(slack < 0)]
-        min_slack = float(slack.min())
-    return BoundsReport(
-        f"schedule-{kind.value}-covers-next-prime", (0, x_max), tuple(violations), min_slack
-    )
+    return _sweep(x_max, table, (kind,), growth=False)[0]
+
+
+def validate_schedules(x_max: int, table: Optional[SieveTable] = None) -> List[BoundsReport]:
+    """validate_schedule's SQUARE and LINLOG reports, then check_lin_growth_bound's, from one
+    sweep that takes each x's two logarithms once."""
+    return _sweep(x_max, table, (Schedule.SQUARE, Schedule.LINLOG), growth=True)
 
 
 def square_schedule_base_cases(table: Optional[SieveTable] = None) -> BoundsReport:
@@ -155,14 +196,6 @@ def check_lin_growth_bound(
     the +10 slack carries the schedule, so the sweep starts at 5.
     """
     x_max = as_nat(x_max, "x_max")
-    if table is None:
-        table = sieve_for_nth(x_max + 1)
-    if x_max >= 5:
-        table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
-    p = table.prime_list[5 : x_max + 1]
-    bound = _lin_bound(np.arange(5, x_max + 1))
-    margin = bound - p
-    tight = np.flatnonzero(margin <= 4 * np.spacing(bound))
-    violations = tuple((int(i) + 5, float(bound[i]), float(p[i])) for i in tight)
-    min_margin = float(margin.min()) if margin.size else None
-    return BoundsReport("lin-schedule-real-bound", (5, x_max), violations, min_margin)
+    if x_max < 5:  # an empty range reads no table
+        return BoundsReport("lin-schedule-real-bound", (5, x_max))
+    return _sweep(x_max, table, (), growth=True)[0]

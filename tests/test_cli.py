@@ -445,13 +445,13 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)  # KiB on Li
 """
 
 
-def test_validate_a_million_under_asserts_stripped_peaks_within_160_mb():
+def test_validate_a_million_under_asserts_stripped_peaks_within_80_mb():
     argv = (sys.executable, "-O", "-m", "primefold", "validate", "--max", "1000000", "--json")
     probe = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=CHILD_ENV,
                            capture_output=True, text=True, check=True)
     code, peak_kib = map(int, probe.stdout.split())
     assert code == 0
-    assert peak_kib / 1024 <= 160
+    assert peak_kib / 1024 <= 80
 
 
 def test_in_process_runs_and_the_import_freeze_nothing(capsys):

@@ -9,6 +9,7 @@ land on 11 there, and validate_schedule certifies the inequality that the
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from primefold import (
     closed_form_incremental,
     evaluate,
     schedule_limit,
+    sieve_for_nth,
     square_schedule_base_cases,
     u_lin,
     u_sq,
@@ -201,12 +203,17 @@ def scalar_lin_growth_reference(x_max, table):
     return tuple(violations), min_margin
 
 
+def with_primes(table, values):
+    """`table` with p_{x+1} set to `values[x]`."""
+    primes = table.prime_list.copy()
+    for x, p in values.items():
+        primes[x] = p
+    return SieveTable(limit=table.limit, flags=table.flags, prime_list=primes)
+
+
 def doctored(table, bumps):
     """`table` with p_{x+1} moved by `bumps[x]`: violations the sweeps must find."""
-    primes = table.prime_list.copy()
-    for x, bump in bumps.items():
-        primes[x] += bump
-    return SieveTable(limit=table.limit, flags=table.flags, prime_list=primes)
+    return with_primes(table, {x: table.prime_list[x] + bump for x, bump in bumps.items()})
 
 
 DOCTORINGS = [
@@ -245,6 +252,94 @@ def test_doctored_tables_inject_violations(big_sieve):
     edge = validate_schedule(Schedule.LINLOG, 5_000, doctored(big_sieve, DOCTORINGS[2]))
     assert edge.violations == ((5, 27.0, 28.0), (5_000, 53_321.0, 53_322.0))
     assert edge.min_slack == -1.0
+
+
+# ------------------------------------------ blocks vs. whole arrays
+
+B = schedules._BLOCK
+
+
+def whole_array_reports(x_max, table):
+    """Reference: the SQUARE, LINLOG and real-bound (violations, min_slack), each from whole
+    arrays of [0, x_max] in one piece."""
+    xs = np.arange(x_max + 1)
+    need = table.prime_list[: x_max + 1] - 1
+    reports = []
+    for limits in ((xs + 1) ** 2, np.ceil(schedules._lin_bound(xs)).astype(np.int64) + 10):
+        slack = limits - need
+        rows = tuple((int(x), float(limits[x]), float(need[x])) for x in np.flatnonzero(slack < 0))
+        reports.append((rows, float(slack.min())))
+    p = table.prime_list[5 : x_max + 1]
+    bound = schedules._lin_bound(np.arange(5, x_max + 1))
+    margin = bound - p
+    tight = np.flatnonzero(margin <= 4 * np.spacing(bound))
+    rows = tuple((int(i) + 5, float(bound[i]), float(p[i])) for i in tight)
+    reports.append((rows, float(margin.min()) if margin.size else None))
+    return reports
+
+
+# p_{x+1} at the edges of the first two blocks: violations of every claim, the largest in the
+# third block; p_{x+1} - 1 on u_lin(x) one past the first block; and a real-bound margin in
+# [1, 2) at the last x of the second block.  Each claim's least slack lies past the first block.
+EDGE_VIOLATIONS = {B - 1: 10**8, B: 10**8 + 1, B + 1: 10**8 + 2, 2 * B + 3: 10**9}
+EDGE_LIN_SLACK_0 = {B + 1: u_lin(B + 1) + 1}
+EDGE_REAL_MARGIN_1 = {2 * B - 1: math.floor(schedules._lin_bound(2 * B - 1)) - 1}
+
+
+@pytest.mark.parametrize("x_max", [0, 4, 5, B - 1, B, B + 1, 2 * B - 1, 2 * B + 5])
+@pytest.mark.parametrize("values", [{}, EDGE_VIOLATIONS, EDGE_LIN_SLACK_0, EDGE_REAL_MARGIN_1])
+def test_block_sweeps_equal_the_whole_array_reports(big_sieve, x_max, values):
+    table = with_primes(big_sieve, values)
+    got = [validate_schedule(Schedule.SQUARE, x_max, table),
+           validate_schedule(Schedule.LINLOG, x_max, table),
+           check_lin_growth_bound(x_max, table)]
+    assert [(r.violations, r.min_slack) for r in got] == whole_array_reports(x_max, table)
+    assert schedules.validate_schedules(x_max, table) == got
+
+
+def test_block_edge_doctorings_land_where_they_are_aimed(big_sieve):
+    for report in schedules.validate_schedules(2 * B + 5, with_primes(big_sieve, EDGE_VIOLATIONS)):
+        assert [v[0] for v in report.violations] == [B - 1, B, B + 1, 2 * B + 3]
+        assert report.min_slack == report.violations[-1][1] - report.violations[-1][2]
+    sq, lin, real = schedules.validate_schedules(2 * B + 5, with_primes(big_sieve, EDGE_LIN_SLACK_0))
+    assert (sq.violations, lin.violations, lin.min_slack) == ((), (), 0.0)
+    assert [v[0] for v in real.violations] == [B + 1]
+    reports = schedules.validate_schedules(2 * B + 5, with_primes(big_sieve, EDGE_REAL_MARGIN_1))
+    assert all(r.passed for r in reports)
+    assert 1 <= reports[2].min_slack < 2 < check_lin_growth_bound(2 * B - 2, big_sieve).min_slack
+
+
+def test_validate_reports_take_two_logarithms_per_x(monkeypatch, big_sieve):
+    from primefold import cli
+
+    real, taken = schedules._log, []
+
+    def counting(v):
+        taken.append(v.size if isinstance(v, np.ndarray) else 1)
+        return real(v)
+
+    monkeypatch.setattr(schedules, "_log", counting)
+    for n in (0, 5, B - 1, B, 10_000):
+        taken.clear()
+        cli._validate_reports(n, big_sieve)
+        assert sum(taken) == 2 * (n + 1)
+
+
+def test_sweep_memory_does_not_grow_with_x_max():
+    table = sieve_for_nth(200_001)
+    limit = 32 * 8 * B  # 32 blocks of floats; whole arrays of 200,001 x's took 6.5-8 MB
+    for x_max in (20_000, 200_000):
+        for sweep in (lambda: [validate_schedule(Schedule.SQUARE, x_max, table)],
+                      lambda: [validate_schedule(Schedule.LINLOG, x_max, table)],
+                      lambda: [check_lin_growth_bound(x_max, table)],
+                      lambda: schedules.validate_schedules(x_max, table)):
+            tracemalloc.start()
+            try:
+                assert all(r.passed for r in sweep())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
 
 
 def test_lin_growth_bound_rejects_a_short_table():
