@@ -16,17 +16,17 @@ One numpy k-scan kernel evaluates every divisor test, in one of two layouts.
 A wide slice (max(lo, 3) <= hi // 2) runs k-major (`_k_major`): one row per k
 with the j's as a uint32 vector, so each numpy call divides by one scalar.  A
 narrower one runs j-major: one row per j over k = 2, 3, ... in chunks of
-_CHUNK k's.  Uncounted gcd k-major rows are dealt out over the _WORKERS usable
-CPUs, since np.gcd waits on one hardware division per Euclid step with the GIL
-released.  Delta rows stay on the caller's thread: each takes a few
-microseconds, so threads would contend for the GIL.
+_CHUNK k's.  Any gcd k-major scan, counted or not, of at least _SPLIT_TESTS
+divisor tests deals its rows out over the _WORKERS usable CPUs, since np.gcd
+waits on one hardware division per Euclid step with the GIL released.  Every
+other scan runs on the caller's thread: threads cost a smaller one more than
+they save, and delta rows, a few microseconds each, would contend for the GIL.
 Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
 the kernel fills: `_Store.fill(m)` scans exactly the j <= m the store lacks,
 so `prefix_count(i)` scans no j past i.  A counted run reads no store: it is
 one `_counted_scans` call, one k-major scan over each j once per scan of
-I(2..i) that reaches it, on the caller's thread.  `_k_major` records the start
-s of every row it ran there, and a row from s tests the elements [s, N), so
-every divisor test tallied is one that ran.
+I(2..i) that reaches it.  `_k_major` records the start s of every row that ran,
+and a row from s tests the elements [s, N), so each test tallied is one that ran.
 Entry points, store fills and single-j scans first pass their count of
 divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 """
@@ -48,6 +48,7 @@ _CHUNK = 1 << 20  # k's per j-major row: bounds a single-j scan's memory
 MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # usable CPUs: the threads of a gcd k-major scan
+_SPLIT_TESTS = 1 << 18  # divisor tests from which a gcd k-major scan runs on _WORKERS threads
 
 
 class IndicatorVariant(enum.Enum):
@@ -143,18 +144,17 @@ def _k_major(js, variant: IndicatorVariant, ran: list | None = None):
     """Hits of each element of the ascending uint32 `js`, summed over rows k = 2..max(js)-1,
     each row over the suffix of elements past k.
 
-    A counted scan passes `ran`: its rows run on the caller's thread, which appends the start
-    of each row once that row has run.  Otherwise worker i of w adds the gcd rows k = 2+i,
-    2+i+w, ... into its own accumulator, the caller's thread being worker 0, and the caller
-    sums the w accumulators.  An exception in any worker, an interrupt included, stops every
-    worker before its next row and reaches the caller.
+    A gcd scan of at least _SPLIT_TESTS tests runs on w = _WORKERS threads, any other on w = 1.
+    Worker i adds rows k = 2+i, 2+i+w, ... into its own accumulator (worker 0 is the caller's
+    thread, which sums them) and appends each row's start to `ran`, if given, once it has run.
+    An error or interrupt in a worker stops all workers before their next row and reaches the caller.
     """
     hi = int(js[-1]) if js.size else 2
     ks = np.arange(2, hi, dtype=np.uint32)  # a Python int k would cost each numpy call a cast
     starts = np.searchsorted(js, ks, "right").tolist()  # row k's first element
     js1 = js - 1
-    split = ran is None and variant is IndicatorVariant.GCD  # see the module docstring
-    w = min(_WORKERS, hi - 2) if split else 1
+    tests = js.size * ks.size - sum(starts)  # row k tests the elements [start, N)
+    w = _WORKERS if variant is IndicatorVariant.GCD and tests >= _SPLIT_TESTS else 1
     accs = np.zeros((w, js.size), np.uint32)
     stop, errors = threading.Event(), []
 

@@ -22,6 +22,7 @@ from primefold import (
     IndicatorVariant,
     OpCounts,
     RangeError,
+    closed_form_naive,
     core,
     delta,
     divisor_hit,
@@ -188,6 +189,7 @@ def test_worker_count_is_the_usable_cpu_count():
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers):
     monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits, the counted one too
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 302)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often enough to expose a lost update
@@ -207,6 +209,7 @@ class _RowFailed(Exception):
 
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)
     tests = core._divisor_tests
 
     def failing(ks, *args):
@@ -220,6 +223,50 @@ def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
         core._scan_hits(41, 300, GCD)
     assert failure.value.args[0] != threading.current_thread().name
     assert threading.active_count() == threads
+
+
+def record_thread_starts(monkeypatch):
+    """A list that gets the name of every thread started from here on."""
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def test_a_scan_splits_by_its_variant_and_its_own_test_count(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    started = record_thread_starts(monkeypatch)
+    uncounted = sum(j - 2 for j in range(41, 301))  # _scan_hits(41, 300): k = 2..j-1 per j
+    naive = np.repeat(np.arange(2, 61, dtype=np.uint32), np.arange(59, 0, -1))  # U = 60's scans
+    for tests, scan in ((uncounted, lambda v: core._scan_hits(41, 300, v)),
+                        (closed_form_naive(60), lambda v: core._counted_scans(1, 60, v)),
+                        (closed_form_naive(60), lambda v: core._k_major(naive, v)),
+                        (closed_form_naive(60), lambda v: core._k_major(naive, v, []))):
+        for threshold, threads in ((tests + 1, 0), (tests, 2), (0, 2)):  # one test below, at, over
+            monkeypatch.setattr(core, "_SPLIT_TESTS", threshold)
+            started.clear()
+            scan(GCD)
+            assert len(started) == threads
+            scan(DELTA)
+            assert len(started) == threads  # a delta scan never starts a thread
+
+
+def test_a_split_counted_run_at_u_2_keeps_its_tallies(monkeypatch):
+    unsplit = [run_counted(x, 2, EvalMode.NAIVE, GCD) for x in (0, 1, 5)]
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # U = 2 passes one element and no row
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    table, tests, floors = core._counted_scans(1, 2, GCD)
+    assert table.tolist() == [[0, 0, 0], [0, 0, 1]]  # I(2) = 1 // (1 + 0)
+    assert tests.tolist() == [trial_tests(1), trial_tests(2)] == [0, 0]
+    assert floors.tolist() == [0, 1]
+    split = [run_counted(x, 2, EvalMode.NAIVE, GCD) for x in (0, 1, 5)]
+    assert split == unsplit
+    assert [value for value, _ in split] == [2, 3, 3]
+    assert all(counts.gcd_calls == trial_tests(2) for _, counts in split)
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
