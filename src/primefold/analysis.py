@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from .core import prefix_count
 from .enumerator import trace
 from .nat import DomainError, RangeError, as_nat
-from .oracle import SieveTable, sieve_for_nth
+from .oracle import SieveTable, sieve_for_nth  # perfbench/traced.py wraps it here by name
 from .reports import BoundsReport
 from .schedules import Schedule, p_lower, u_lin
 
@@ -96,21 +96,23 @@ def check_schedule_divergence(x_max: int) -> BoundsReport:
     x_max = as_nat(x_max, "x_max")
     if x_max < DIVERGENCE_X_MIN:
         raise DomainError(f"check_schedule_divergence requires x_max >= 10, got {x_max}")
-    r = [0.0] + [_log_ratio(x) for x in range(1, x_max + 1)]
+    r10 = prev = _log_ratio(DIVERGENCE_X_MIN)  # r(x) streams in: no list grows with x_max
     violations = []
     min_gap: Optional[float] = None
-    for x in range(11, x_max + 1):
-        gap = r[x] - r[x - 1]
-        if gap <= 4 * math.ulp(r[x - 1]):
-            violations.append((x, r[x], r[x - 1]))
+    for x in range(DIVERGENCE_X_MIN + 1, x_max + 1):
+        r = _log_ratio(x)
+        gap = r - prev
+        if gap <= 4 * math.ulp(prev):
+            violations.append((x, r, prev))
         if min_gap is None or gap < min_gap:
             min_gap = gap
-    if x_max >= 60 and r[x_max] - (r[10] + 10.0) <= 4 * math.ulp(r[10] + 10.0):
-        violations.append((x_max, r[x_max], r[10] + 10.0))
+        prev = r
+    if x_max >= 60 and prev - (r10 + 10.0) <= 4 * math.ulp(r10 + 10.0):
+        violations.append((x_max, prev, r10 + 10.0))
     return BoundsReport("schedule-log-ratio-divergence", (1, x_max), tuple(violations), min_gap)
 
 
-def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsReport:
+def check_minimality(x_max: int, table: SieveTable) -> BoundsReport:
     """Both links of the schedule lower-bound chain on [5, x_max].
 
     For each x: p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1, and
@@ -120,8 +122,6 @@ def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsRe
     x_max = as_nat(x_max, "x_max")
     if x_max < 5:
         raise DomainError(f"check_minimality requires x_max >= 5, got {x_max}")
-    if table is None:
-        table = sieve_for_nth(x_max + 1)
     violations = []
     min_rel: Optional[float] = None
     for x in range(5, x_max + 1):
@@ -139,9 +139,7 @@ def check_minimality(x_max: int, table: Optional[SieveTable] = None) -> BoundsRe
     return BoundsReport("schedule-minimality-chain", (5, x_max), tuple(violations), min_rel)
 
 
-def check_forward_count_axiom(
-    x_max: int, table: Optional[SieveTable] = None
-) -> BoundsReport:
+def check_forward_count_axiom(x_max: int, table: SieveTable) -> BoundsReport:
     """Traced step sequences are {0,1}, nonincreasing, flipping at p_{x+1}.
 
     Violation rows: (x, observed flip index or offending value, expected).
@@ -151,9 +149,8 @@ def check_forward_count_axiom(
         raise RangeError(
             f"check_forward_count_axiom is trace-backed; x_max <= {FORWARD_AXIOM_X_MAX}"
         )
+    table.nth_prime(x_max + 1)  # a short table raises RangeError before any scan
     prefix_count(u_lin(x_max))  # one wide scan fills the store; every trace below reads it
-    if table is None:
-        table = sieve_for_nth(x_max + 1)
     violations = []
     for x in range(x_max + 1):
         record = trace(x, Schedule.LINLOG)

@@ -3,9 +3,10 @@
 Counted runs re-evaluate the folded expression with no shortcut and no
 store.  The scans of I(2..i) that a run evaluates are one k-major scan
 (`core._counted_scans`) by the kernel that fills the store; the incremental
-runs of one audit share one.  The kernel records the start s of every row
+runs of one audit share one.  The kernel returns the start s of every row
 it runs, and a row tests the elements [s, N), so the divisor tests are
 tallied from the rows that ran and the floors from the elements floored.
+Each run's tallies are built once, from what its scans and its fold returned.
 Every k-range reaches j-1 and the i-loop reaches the forced limit U.
 `AuditRow.match` requires all six tallies:
 
@@ -30,10 +31,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import IndicatorVariant, OpCounts, _counted_scans, _steps, admit
+from .core import IndicatorVariant, OpCounts, _counted_scans, _fold, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
-from .nat import DomainError, as_nat, checked_add
+from .nat import DomainError, as_nat
 from .oracle import build_sieve
 
 
@@ -75,18 +76,19 @@ def summed_tests(u_min: int, u_max: int, mode: EvalMode) -> int:
     return comb(u_max + k - 3, k) - comb(u_min + k - 4, k)
 
 
-def _fold(x: int, prefixes, variant: IndicatorVariant, tests: int, floors: int, resums: int):
+def _counted_fold(x: int, prefixes, variant: IndicatorVariant, tests: int, floors: int,
+                  resums: int):
     """(value, tallies) of a counted run: its scans ran `tests` divisor tests and `floors`
-    indicator floors, its S(1..U) = `prefixes` took `resums` additions, and it steps them at x."""
-    gcd = variant is IndicatorVariant.GCD
-    counts = OpCounts(
+    indicator floors, its S(1..U) = `prefixes` took `resums` additions, and it folds them at x."""
+    value, steps = _fold(prefixes, x)  # uint64 holds any x + 1
+    gcd, u = variant is IndicatorVariant.GCD, steps.size
+    return value, OpCounts(
         gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
-        inner_test_floors=tests if gcd else 2 * tests,
-        indicator_floors=floors, additions=floors + resums,  # each I's 1 + sum, then the S's
+        inner_test_floors=tests if gcd else 2 * tests, indicator_floors=floors,
+        step_floors=2 * u,  # two floors per step
+        # each I's 1 + sum, the S's, each step's x+1 and 1+q, the outer sum's U + and its 1 + sum
+        additions=floors + resums + 3 * u + 1,
     )
-    total = int(_steps(prefixes, x, counts).sum())  # uint64 holds any x + 1
-    counts.additions += prefixes.size + 1  # the outer sum's U accumulations and its final 1 + sum
-    return checked_add(1, total), counts
 
 
 def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,
@@ -100,13 +102,14 @@ def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,
         ind, tests, floors = _counted_scans(u_min, u_max, variant)
         for r, x in enumerate(xs):
             prefixes = np.cumsum(ind[r, 1 : u_min + r + 1], dtype=np.uint64)  # S(1..U)
-            runs.append(_fold(x, prefixes, variant, int(tests[r]), int(floors[r]), prefixes.size))
+            runs.append(_counted_fold(x, prefixes, variant, int(tests[r]), int(floors[r]),
+                                      prefixes.size))
         return runs
     for u, x in zip(range(u_min, u_max + 1), xs):  # run U re-scans I(2..i) for each i = 1..U
         ind, tests, floors = _counted_scans(1, u, variant)
         floored = int(floors.sum())  # each S(i) re-sums its own scan's I's, one + per I
-        runs.append(_fold(x, ind.sum(axis=1, dtype=np.uint64), variant, int(tests.sum()),
-                          floored, floored))
+        runs.append(_counted_fold(x, ind.sum(axis=1, dtype=np.uint64), variant,
+                                  int(tests.sum()), floored, floored))
     return runs
 
 

@@ -3,8 +3,9 @@
 Subcommands: nth-prime, table, trace, record-lift, audit, validate, compare,
 verify (every checked claim in one document).  Each is one `_COMMANDS` entry:
 help, handler and arguments.  A handler returns its outputs, whether every
-claim held and its human text; `main` wraps them in the one `ReportDocument`,
-which `--json` prints instead of the text (sorted keys, no timestamps).
+claim held and its human text; `main` wraps them in the one document (command,
+inputs, outputs, status), which `--json` prints instead of the text (sorted keys,
+no timestamps).
 Exit codes: 0 ok, 1 a checked claim failed, 2 bad input, 3 overflow/range
 (including input whose predicted divisor tests exceed
 `core.MAX_DIVISOR_TESTS`), 130 interrupted, 141 broken pipe.
@@ -17,7 +18,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -45,17 +45,6 @@ from .schedules import (  # perfbench/traced.py wraps check_lin_growth_bound her
 
 _Result = Tuple[Dict[str, object], bool, str]  # outputs, every claim held, human text
 _EXIT_CODES = {PostconditionError: 1, DomainError: 2, RangeError: 3, OverflowError: 3}
-
-
-@dataclass
-class ReportDocument:
-    command: str
-    inputs: Dict[str, object]
-    outputs: Dict[str, object]
-    status: str  # ok | violation
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
 def _nat_arg(text: str) -> int:
@@ -262,9 +251,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("interrupted", file=sys.stderr)
         return 130
     inputs = {dest: getattr(args, dest) for dest in args.inputs}
-    doc = ReportDocument(args.command, inputs, outputs, "ok" if held else "violation")
+    doc = {"command": args.command, "inputs": inputs, "outputs": outputs,
+           "status": "ok" if held else "violation"}
     try:
-        print(doc.to_json() if args.json else human, flush=True)
+        print(json.dumps(doc, sort_keys=True, indent=2) if args.json else human, flush=True)
     except BrokenPipeError:  # stdout's fd now writes to devnull, so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE

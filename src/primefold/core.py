@@ -25,8 +25,9 @@ Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
 the kernel fills: `_Store.fill(m)` scans exactly the j <= m the store lacks,
 so `prefix_count(i)` scans no j past i.  A counted run reads no store: it is
 one `_counted_scans` call, one k-major scan over each j once per scan of
-I(2..i) that reaches it.  `_k_major` records the start s of every row that ran,
-and a row from s tests the elements [s, N), so each test tallied is one that ran.
+I(2..i) that reaches it.  `_k_major` returns the start s of every row that ran
+with its hits, and a row from s tests the elements [s, N), so each test tallied
+is one that ran.  `_fold` is the one fold of S(1..U) into f, for every caller.
 Entry points, store fills and single-j scans first pass their count of
 divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 """
@@ -98,9 +99,9 @@ def admit(tests: int, what: str) -> None:
         raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpCounts:
-    """Mutable tally context for one counted run (conventions: the audit module)."""
+    """The tallies of one counted run (conventions: the audit module)."""
 
     gcd_calls: int = 0
     delta_calls: int = 0
@@ -130,7 +131,7 @@ def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant):
 def _scan_hits(lo: int, hi: int, variant: IndicatorVariant):
     """sum_{k=2}^{j-1} of the divisor test for every j in [lo, hi]; every element evaluated."""
     if max(lo, 3) <= hi // 2:  # k-major: one row per k, the j's as the vector (no row reaches 2)
-        return _k_major(np.arange(lo, hi + 1, dtype=np.uint32), variant)
+        return _k_major(np.arange(lo, hi + 1, dtype=np.uint32), variant)[0]
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
     for j in range(max(lo, 3), hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
         for k0 in range(2, j, _CHUNK):
@@ -140,13 +141,14 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant):
     return hits
 
 
-def _k_major(js, variant: IndicatorVariant, ran: list | None = None):
-    """Hits of each element of the ascending uint32 `js`, summed over rows k = 2..max(js)-1,
-    each row over the suffix of elements past k.
+def _k_major(js, variant: IndicatorVariant):
+    """(hits, ran): the hits of each element of the ascending uint32 `js`, summed over rows
+    k = 2..max(js)-1, each row over the suffix of elements past k, and the start of each row
+    that ran, in the order the rows finished.
 
     A gcd scan of at least _SPLIT_TESTS tests runs on w = _WORKERS threads, any other on w = 1.
     Worker i adds rows k = 2+i, 2+i+w, ... into its own accumulator (worker 0 is the caller's
-    thread, which sums them) and appends each row's start to `ran`, if given, once it has run.
+    thread, which sums them) and appends each row's start to `ran` once it has run.
     An error or interrupt in a worker stops all workers before their next row and reaches the caller.
     """
     hi = int(js[-1]) if js.size else 2
@@ -156,7 +158,7 @@ def _k_major(js, variant: IndicatorVariant, ran: list | None = None):
     tests = js.size * ks.size - sum(starts)  # row k tests the elements [start, N)
     w = _WORKERS if variant is IndicatorVariant.GCD and tests >= _SPLIT_TESTS else 1
     accs = np.zeros((w, js.size), np.uint32)
-    stop, errors = threading.Event(), []
+    stop, errors, ran = threading.Event(), [], []
 
     def rows(i):
         try:
@@ -165,8 +167,7 @@ def _k_major(js, variant: IndicatorVariant, ran: list | None = None):
                 if stop.is_set():
                     return
                 acc[s:] += _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant)
-                if ran is not None:
-                    ran.append(s)
+                ran.append(s)
         except BaseException as exc:  # the caller re-raises it, so no row is silently lost
             errors.append(exc)
             stop.set()
@@ -185,7 +186,7 @@ def _k_major(js, variant: IndicatorVariant, ran: list | None = None):
                 worker.join()
     if errors:
         raise errors[0]
-    return accs.sum(axis=0, dtype=np.uint32)
+    return accs.sum(axis=0, dtype=np.uint32), ran
 
 
 def _indicators(lo: int, hi: int, variant: IndicatorVariant):
@@ -204,8 +205,7 @@ def _counted_scans(u_min: int, u_max: int, variant: IndicatorVariant):
     """
     j = np.arange(u_max + 1, dtype=np.uint32)[:, None]
     holds = (j >= 2) & (j <= np.arange(u_min, u_max + 1, dtype=np.uint32))  # [j, i - u_min]
-    ran = []
-    hits = _k_major(np.broadcast_to(j, holds.shape)[holds], variant, ran)  # j-major: ascending
+    hits, ran = _k_major(np.broadcast_to(j, holds.shape)[holds], variant)  # j-major: ascending
     tested = np.zeros(hits.size, np.uint32)  # the rows that tested each element: those from s <= it
     np.add.at(tested, np.array(ran, np.intp), 1)
     ind, tests = np.zeros(holds.shape, np.uint8), np.zeros(holds.shape, np.uint32)
@@ -271,13 +271,15 @@ def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> in
     return int(store.pre[i])
 
 
-def _steps(prefix, x: int, counter: OpCounts | None = None):
+def _steps(prefix, x: int):
     """A(i, x) = floor(1 / (1 + floor(S(i) / (x+1)))) of one S(i) or an array of them."""
-    a = 1 // (1 + prefix // checked_add(x, 1))
-    if counter is not None:  # two floors and two additions (x+1 and 1+q) per element
-        counter.step_floors += 2 * np.size(a)
-        counter.additions += 2 * np.size(a)
-    return a
+    return 1 // (1 + prefix // checked_add(x, 1))
+
+
+def _fold(prefix, x: int):
+    """(1 + sum of the steps, the steps) of the array S(1..U) = `prefix` at x: f's one fold."""
+    a = _steps(prefix, x)
+    return checked_add(1, int(a.sum())), a
 
 
 def step(s: int, x: int) -> int:

@@ -26,8 +26,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _STORES, IndicatorVariant, _steps, admit, closed_form_incremental
-from .nat import DomainError, as_nat, checked_add
+from .core import _STORES, IndicatorVariant, _fold, _steps, admit, closed_form_incremental
+from .nat import DomainError, as_nat
 from .oracle import sieve_for_nth
 from .schedules import Schedule, p_lower, schedule_limit, u_lin
 
@@ -98,7 +98,7 @@ def evaluate(
         prefix = np.array([store.ind[2 : i + 1].sum() for i in range(1, hi + 1)])
     else:
         prefix = store.pre[1 : hi + 1]
-    return checked_add(1, int(_steps(prefix, x).sum()))  # every term past the flip is 0
+    return _fold(prefix, x)[0]  # every term past the flip is 0
 
 
 def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
@@ -109,8 +109,8 @@ def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
     store = _STORES[IndicatorVariant.GCD]
     store.fill(limit)
     ind, prefix = store.ind[1 : limit + 1].copy(), store.pre[1 : limit + 1].copy()  # not views
-    a = _steps(prefix, x)
-    return TraceRecord(x, schedule, limit, ind, prefix, a, checked_add(1, int(a.sum())))
+    result, a = _fold(prefix, x)
+    return TraceRecord(x, schedule, limit, ind, prefix, a, result)
 
 
 def record_lift(L: int, schedule: Schedule = Schedule.LINLOG) -> int:

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .nat import NAT_MAX, RangeError, as_nat, checked_add, checked_mul
-from .oracle import SieveTable, sieve_for_nth
+from .oracle import SieveTable
 from .reports import BoundsReport
 
 WILLANS_EXACT_MAX_X = 62  # 2^(x+1) fits a 64-bit natural iff x <= 62
@@ -122,13 +122,11 @@ class _Claim:
 
 
 def _sweep(
-    x_max: int, table: Optional[SieveTable], kinds: Tuple[Schedule, ...], growth: bool
+    x_max: int, table: SieveTable, kinds: Tuple[Schedule, ...], growth: bool
 ) -> List[BoundsReport]:
     """validate_schedule's report for each of `kinds`, then check_lin_growth_bound's if `growth`,
     from one pass over x in [0, x_max] in blocks of _BLOCK: one _lin_bound call per block."""
     x_max = as_nat(x_max, "x_max")
-    if table is None:
-        table = sieve_for_nth(x_max + 1)
     table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
     claims = [_Claim(f"schedule-{kind.value}-covers-next-prime", 0, x_max) for kind in kinds]
     real = _Claim("lin-schedule-real-bound", 5, x_max)
@@ -156,9 +154,7 @@ def _sweep(
     return [claim.report() for claim in claims] + ([real.report()] if growth else [])
 
 
-def validate_schedule(
-    kind: Schedule, x_max: int, table: Optional[SieveTable] = None
-) -> BoundsReport:
+def validate_schedule(kind: Schedule, x_max: int, table: SieveTable) -> BoundsReport:
     """Certify the defining inequality of `kind` on [0, x_max] via the sieve.
 
     Square/Linlog rows require U(x) >= p_{x+1} - 1, checked over blocks of x;
@@ -168,16 +164,14 @@ def validate_schedule(
     return _sweep(x_max, table, (kind,), growth=False)[0]
 
 
-def validate_schedules(x_max: int, table: Optional[SieveTable] = None) -> List[BoundsReport]:
+def validate_schedules(x_max: int, table: SieveTable) -> List[BoundsReport]:
     """validate_schedule's SQUARE and LINLOG reports, then check_lin_growth_bound's, from one
     sweep that takes each x's two logarithms once."""
     return _sweep(x_max, table, (Schedule.SQUARE, Schedule.LINLOG), growth=True)
 
 
-def square_schedule_base_cases(table: Optional[SieveTable] = None) -> BoundsReport:
+def square_schedule_base_cases(table: SieveTable) -> BoundsReport:
     """The finite base check p_n - 1 <= n^2 for n = 1..5."""
-    if table is None:
-        table = sieve_for_nth(5)
     violations = []
     for n in range(1, 6):
         lhs = table.nth_prime(n) - 1
@@ -187,9 +181,7 @@ def square_schedule_base_cases(table: Optional[SieveTable] = None) -> BoundsRepo
     return BoundsReport("square-schedule-base-cases", (1, 5), tuple(violations))
 
 
-def check_lin_growth_bound(
-    x_max: int, table: Optional[SieveTable] = None
-) -> BoundsReport:
+def check_lin_growth_bound(x_max: int, table: SieveTable) -> BoundsReport:
     """p_{x+1} < (x+1)(ln(x+e) + ln ln(x+e)) by over 4 ulps, x in [5, x_max].
 
     This is the real-valued middle link that justifies u_lin; below x=5 only

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from test_enumerator import record_scans
@@ -10,6 +11,7 @@ from primefold import (
     DomainError,
     RangeError,
     SignatureFamily,
+    build_sieve,
     check_forward_count_axiom,
     check_minimality,
     check_schedule_divergence,
@@ -69,9 +71,9 @@ def test_minimality_chain(big_sieve):
     assert 12 >= lower
 
 
-def test_minimality_requires_x_max_5():
+def test_minimality_requires_x_max_5(small_sieve):
     with pytest.raises(DomainError):
-        check_minimality(4)
+        check_minimality(4, small_sieve)
 
 
 def test_forward_count_axiom(small_sieve):
@@ -79,17 +81,27 @@ def test_forward_count_axiom(small_sieve):
     assert report.passed
 
 
-def test_forward_count_axiom_fills_a_cold_store_in_one_wide_scan(monkeypatch):
+def test_forward_count_axiom_fills_a_cold_store_in_one_wide_scan(monkeypatch, small_sieve):
     # u_lin(200) = 1414: every trace of the sweep reads what this one k-major scan stored
     calls = record_scans(monkeypatch)
     core._reset_stores()
-    assert check_forward_count_axiom(200).passed
+    assert check_forward_count_axiom(200, small_sieve).passed
     assert calls == [(2, 1414)]
 
 
-def test_forward_count_axiom_trace_guard():
+def test_minimality_and_the_axiom_reject_a_short_table_before_any_scan(monkeypatch):
+    calls = record_scans(monkeypatch)
+    core._reset_stores()
     with pytest.raises(RangeError):
-        check_forward_count_axiom(201)
+        check_minimality(100, build_sieve(50))
+    with pytest.raises(RangeError):
+        check_forward_count_axiom(100, build_sieve(50))
+    assert calls == []
+
+
+def test_forward_count_axiom_trace_guard(small_sieve):
+    with pytest.raises(RangeError):
+        check_forward_count_axiom(201, small_sieve)
 
 
 def test_forward_count_axiom_reports_each_kind_of_bad_trace(monkeypatch, small_sieve):
@@ -129,3 +141,13 @@ def test_divergence_gap_of_one_ulp_is_a_violation(monkeypatch):
     report = check_schedule_divergence(100)
     assert report.violations == ((20, r20, r19),)
     assert report.min_slack == math.ulp(r19) > 0.0
+
+
+def test_schedule_divergence_streams_its_log_ratios():
+    tracemalloc.start()
+    try:
+        assert check_schedule_divergence(200_000).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one list of every r(x) peaks near 8 MB here

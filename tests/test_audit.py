@@ -263,13 +263,13 @@ def test_audit_range_guards():
 @pytest.mark.parametrize("mode", [EvalMode.NAIVE, EvalMode.INCREMENTAL])
 def test_counted_runs_step_every_prefix_in_one_array_fold(monkeypatch, mode):
     folds = []
-    real = audit._steps
+    real = audit._fold
 
-    def recording(prefix, x, counter=None):
+    def recording(prefix, x):
         folds.append(list(prefix))
-        return real(prefix, x, counter)
+        return real(prefix, x)
 
-    monkeypatch.setattr(audit, "_steps", recording)
+    monkeypatch.setattr(audit, "_fold", recording)
     value, counts = run_counted(3, 12, mode)
     assert folds == [[0, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5, 5]]  # S(1..12)
     assert value == 7 and counts.step_floors == 24

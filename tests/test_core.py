@@ -20,8 +20,8 @@ from primefold import (
     DomainError,
     EvalMode,
     IndicatorVariant,
-    OpCounts,
     RangeError,
+    audit,
     closed_form_naive,
     core,
     delta,
@@ -163,6 +163,16 @@ def test_counted_indicator_tallies_sites():
         assert counts.inner_test_floors == (28 if variant is GCD else 56)  # two floors per delta
         assert counts.indicator_floors == 8
         assert counts.additions == 8 + 9 + 18 + 10  # 1 + sums, S updates, steps', outer sum
+        _, tests, floors = core._counted_scans(1, 9, variant)  # the naive run's scans I(2..i)
+        assert tests.tolist() == [trial_tests(i) for i in range(1, 10)] and sum(tests) == 84
+        assert floors.tolist() == list(range(9)) and sum(floors) == 36
+        _, counts = run_counted(4, 9, EvalMode.NAIVE, variant)
+        assert counts.gcd_calls == (84 if variant is GCD else 0)
+        assert counts.delta_calls == (0 if variant is GCD else 84)
+        assert counts.inner_test_floors == (84 if variant is GCD else 168)
+        assert counts.indicator_floors == 36
+        assert counts.step_floors == 18
+        assert counts.additions == 36 + 36 + 18 + 10  # 1 + sums, S re-sums, steps', outer sum
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
@@ -244,8 +254,7 @@ def test_a_scan_splits_by_its_variant_and_its_own_test_count(monkeypatch):
     naive = np.repeat(np.arange(2, 61, dtype=np.uint32), np.arange(59, 0, -1))  # U = 60's scans
     for tests, scan in ((uncounted, lambda v: core._scan_hits(41, 300, v)),
                         (closed_form_naive(60), lambda v: core._counted_scans(1, 60, v)),
-                        (closed_form_naive(60), lambda v: core._k_major(naive, v)),
-                        (closed_form_naive(60), lambda v: core._k_major(naive, v, []))):
+                        (closed_form_naive(60), lambda v: core._k_major(naive, v))):
         for threshold, threads in ((tests + 1, 0), (tests, 2), (0, 2)):  # one test below, at, over
             monkeypatch.setattr(core, "_SPLIT_TESTS", threshold)
             started.clear()
@@ -253,6 +262,8 @@ def test_a_scan_splits_by_its_variant_and_its_own_test_count(monkeypatch):
             assert len(started) == threads
             scan(DELTA)
             assert len(started) == threads  # a delta scan never starts a thread
+    _, ran = core._k_major(naive, GCD)  # split over 3 threads: every thread's rows come back
+    assert sorted(ran) == np.searchsorted(naive, np.arange(2, 60), "right").tolist()
 
 
 def test_a_split_counted_run_at_u_2_keeps_its_tallies(monkeypatch):
@@ -346,11 +357,13 @@ def test_step_equivalence_random(s, x):
     assert step(s, x) == (1 if s <= x else 0)
 
 
-def test_step_counts_two_floors_and_two_additions():
-    counter = OpCounts()
-    core._steps(5, 9, counter)
-    assert counter.step_floors == 2
-    assert counter.additions == 2
+def test_fold_of_one_prefix_counts_two_floors_and_two_additions():
+    value, steps = core._fold(np.array([5]), 9)
+    assert steps.tolist() == [step(5, 9)] == [1]
+    assert value == 1 + 1
+    _, counts = audit._counted_fold(9, np.array([5], np.uint64), GCD, 0, 0, 0)
+    assert counts.step_floors == 2
+    assert counts.additions == 2 + 1 + 1  # the step's x+1 and 1+q, the outer +, its 1 + sum
 
 
 def test_step_overflow_at_the_nat_boundary():
@@ -360,8 +373,10 @@ def test_step_overflow_at_the_nat_boundary():
         step(NAT_MAX, 0)  # 1 + floor(s/1) leaves the range
 
 
-def test_array_steps_count_two_floors_and_two_additions_per_element():
-    counter = OpCounts()
-    assert core._steps(np.array([0, 3, 4, 9]), 3, counter).tolist() == [1, 1, 0, 0]
-    assert (counter.step_floors, counter.additions) == (8, 8)
+def test_array_fold_counts_two_floors_and_two_additions_per_element():
+    value, steps = core._fold(np.array([0, 3, 4, 9]), 3)
+    assert steps.tolist() == [1, 1, 0, 0]
+    assert value == 1 + sum(steps.tolist()) == 3
+    _, counts = audit._counted_fold(3, np.array([0, 3, 4, 9], np.uint64), GCD, 0, 0, 0)
+    assert (counts.step_floors, counts.additions - 4 - 1) == (8, 8)  # less the outer sum's 4 + 1
     assert core._steps(np.array([0, 3, 4, 9]), 3).tolist() == [step(s, 3) for s in (0, 3, 4, 9)]

@@ -131,6 +131,10 @@ def test_validate_willans_exact_and_log_ranges(small_sieve):
 def test_validate_schedule_propagates_small_oracle():
     with pytest.raises(RangeError):
         validate_schedule(Schedule.SQUARE, 100, build_sieve(50))
+    with pytest.raises(RangeError):
+        schedules.validate_schedules(100, build_sieve(50))
+    with pytest.raises(RangeError):
+        square_schedule_base_cases(build_sieve(10))  # holds p_4 = 7, not p_5 = 11
 
 
 def test_square_base_cases_table(small_sieve):
