@@ -1,13 +1,12 @@
 """Non-synonymy and minimality checks at desk scale.
 
-Three enumerator families are separated by fixed 6-bit operator-palette
-fingerprints (stored constants, tested for distinctness) and by schedule
-growth: the Willans limit 2^(x+1) outgrows u_lin, tested as strict growth
-of r(x) = (x+1) ln 2 - ln u_lin(x) plus a concrete gap.  The lower bound
+Fixed six-bit operator-palette fingerprints and schedule growth separate three
+enumerator families: the Willans limit 2^(x+1) outgrows u_lin, tested as strict
+growth of r(x) = (x+1) ln 2 - ln u_lin(x) plus a concrete gap.  The lower bound
 U(x) >= p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1 (x >= 5) of any
-forward-count enumerator is swept against the sieve, and the axiom against
-each trace's step array.  A float margin within 4 ulps of its bound counts
-as a violation.
+forward-count enumerator is checked against the sieve.  Both checks sweep x in
+the blocks of schedules' grid, and the axiom is checked against each trace's
+step array.  A float margin within 4 ulps of its bound counts as a violation.
 """
 
 from __future__ import annotations
@@ -15,14 +14,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from .core import prefix_count
 from .enumerator import trace
 from .nat import DomainError, RangeError, as_nat
 from .oracle import SieveTable, sieve_for_nth  # perfbench/traced.py wraps it here by name
 from .reports import BoundsReport
-from .schedules import Schedule, p_lower, u_lin
+from .schedules import Schedule, _blocks, _Claim, _lin_bound, _lin_limits, _log, p_lower, u_lin
 
 FORWARD_AXIOM_X_MAX = 200  # trace-backed check; keep the row volume bounded
 DIVERGENCE_X_MIN = 10  # r(x) is swept from here on
@@ -81,9 +82,9 @@ def check_signature_separation() -> BoundsReport:
     return BoundsReport("operator-signature-separation", (0, 2), tuple(violations))
 
 
-def _log_ratio(x: int) -> float:
-    """r(x) = (x+1) ln 2 - ln u_lin(x)."""
-    return (x + 1) * math.log(2.0) - math.log(u_lin(x))
+def _log_ratios(xs):
+    """r(x) = (x+1) ln 2 - ln u_lin(x) for each x of a block."""
+    return (xs + 1) * math.log(2.0) - _log(_lin_limits(_lin_bound(xs)))
 
 
 def check_schedule_divergence(x_max: int) -> BoundsReport:
@@ -96,47 +97,38 @@ def check_schedule_divergence(x_max: int) -> BoundsReport:
     x_max = as_nat(x_max, "x_max")
     if x_max < DIVERGENCE_X_MIN:
         raise DomainError(f"check_schedule_divergence requires x_max >= 10, got {x_max}")
-    r10 = prev = _log_ratio(DIVERGENCE_X_MIN)  # r(x) streams in: no list grows with x_max
-    violations = []
-    min_gap: Optional[float] = None
-    for x in range(DIVERGENCE_X_MIN + 1, x_max + 1):
-        r = _log_ratio(x)
-        gap = r - prev
-        if gap <= 4 * math.ulp(prev):
-            violations.append((x, r, prev))
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-        prev = r
-    if x_max >= 60 and prev - (r10 + 10.0) <= 4 * math.ulp(r10 + 10.0):
-        violations.append((x_max, prev, r10 + 10.0))
-    return BoundsReport("schedule-log-ratio-divergence", (1, x_max), tuple(violations), min_gap)
+    claim = _Claim("schedule-log-ratio-divergence", 1, x_max)
+    r = _log_ratios(np.array([DIVERGENCE_X_MIN]))
+    r10 = float(r[0])
+    for xs in _blocks(DIVERGENCE_X_MIN + 1, x_max):
+        r = np.concatenate((r[-1:], _log_ratios(xs)))  # carries the previous block's last r(x)
+        gap = np.diff(r)
+        claim.add(xs, r[1:], r[:-1], gap, gap <= 4 * np.spacing(r[:-1]))
+    if x_max >= 60 and r[-1] - (r10 + 10.0) <= 4 * math.ulp(r10 + 10.0):
+        claim.rows.append((x_max, float(r[-1]), r10 + 10.0))
+    return claim.report()
 
 
 def check_minimality(x_max: int, table: SieveTable) -> BoundsReport:
     """Both links of the schedule lower-bound chain on [5, x_max].
 
-    For each x: p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1, and
-    u_lin(x) >= p_{x+1} - 1.  min_slack is the smallest relative margin of
-    the first (real-valued) link.
+    For each x: p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1, then
+    u_lin(x) >= p_{x+1} - 1, each x's rows in that order.  min_slack is the
+    smallest relative margin of the first (real-valued) link.
     """
     x_max = as_nat(x_max, "x_max")
     if x_max < 5:
         raise DomainError(f"check_minimality requires x_max >= 5, got {x_max}")
-    violations = []
-    min_rel: Optional[float] = None
-    for x in range(5, x_max + 1):
-        p = table.nth_prime(x + 1)
-        n = x + 1
-        lower = p_lower(n) - 1.0
-        lhs = float(p - 1)
-        if lhs - lower <= 4 * math.ulp(lower):
-            violations.append((x, lhs, lower))
-        rel = (lhs - lower) / lower
-        if min_rel is None or rel < min_rel:
-            min_rel = rel
-        if u_lin(x) < p - 1:
-            violations.append((x, float(u_lin(x)), float(p - 1)))
-    return BoundsReport("schedule-minimality-chain", (5, x_max), tuple(violations), min_rel)
+    table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
+    claim = _Claim("schedule-minimality-chain", 5, x_max)
+    for xs in _blocks(5, x_max):
+        need = table.prime_list[xs[0] : xs[-1] + 1] - 1
+        lower = p_lower(xs + 1) - 1.0
+        limits = _lin_limits(_lin_bound(xs))
+        margin = need - lower
+        claim.add(np.repeat(xs, 2), np.ravel((need, limits), "F"), np.ravel((lower, need), "F"),
+                  margin / lower, np.ravel((margin <= 4 * np.spacing(lower), limits < need), "F"))
+    return claim.report()
 
 
 def check_forward_count_axiom(x_max: int, table: SieveTable) -> BoundsReport:

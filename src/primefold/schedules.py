@@ -13,11 +13,12 @@ admits `evaluate` only for x <= 4,853 and its count never decreases in x
 (tested to 10^6), so validate_schedule's sieve check of u_lin on [0, 10^4]
 covers every admitted x; a sieve test holds Dusart's p_lower there too.
 
-The sieve sweeps run over blocks of _BLOCK x's, so no array grows with x_max,
-and validate_schedules takes each x's two logarithms once for the lin rows and
-the real bound together.  They take math.log of each element: numpy's SIMD log
-may differ in the last ulp between builds and move a ceiling.  A float margin
-within 4 ulps of its bound counts as a violation, not as proof.
+The sweeps here and analysis' minimality and divergence checks run over one
+grid of _BLOCK x's, so no array grows with x_max, and validate_schedules takes
+each x's two logarithms once for the lin rows and the real bound together.
+They take math.log of each element: numpy's SIMD log may differ in the last
+ulp between builds and move a ceiling.  A float margin within 4 ulps of its
+bound counts as a violation, not as proof.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ def u_sq(x: int) -> int:
 
 
 def _log(v):
-    """math.log of a float, or of each element of a float array, read as floats through a
-    memoryview (no list or numpy scalar per element)."""
+    """math.log of a number, or of each element of an array through a memoryview (no list)."""
     if isinstance(v, np.ndarray):
         return np.fromiter(map(math.log, memoryview(v)), float, v.size)
     return math.log(v)
@@ -62,6 +62,11 @@ def _lin_bound(x):
     return (x + 1) * (inner + _log(inner))
 
 
+def _lin_limits(bound):
+    """u_lin of each x of a block, from the block's _lin_bound; every swept x fits int64."""
+    return np.ceil(bound).astype(np.int64) + 10
+
+
 def u_lin(x: int) -> int:
     """ceil((x+1) * (ln(x+e) + ln ln(x+e))) + 10."""
     value = math.ceil(_lin_bound(as_nat(x, "x"))) + 10
@@ -70,9 +75,10 @@ def u_lin(x: int) -> int:
     return value
 
 
-def p_lower(n: int) -> float:
-    """n(ln n + ln ln n - 1), Dusart's (1999) lower bound on p_n for n >= 2."""
-    return n * (math.log(n) + math.log(math.log(n)) - 1.0)
+def p_lower(n):
+    """n(ln n + ln ln n - 1), Dusart's (1999) lower bound on p_n, n >= 2, for an int or an array."""
+    ln = _log(n)
+    return n * (ln + _log(ln) - 1.0)
 
 
 def w_willans_log2(x: int) -> int:
@@ -103,6 +109,11 @@ def _willans_covers(x: int, p: int) -> bool:
     return (p - 1).bit_length() <= x + 1
 
 
+def _blocks(x_min: int, x_max: int):
+    for lo in range(x_min - x_min % _BLOCK, x_max + 1, _BLOCK):
+        yield np.arange(max(lo, x_min), min(lo + _BLOCK, x_max + 1))
+
+
 class _Claim:
     """One claim's (x, lhs, rhs) violation rows and least slack, gathered block by block."""
 
@@ -130,9 +141,8 @@ def _sweep(
     table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
     claims = [_Claim(f"schedule-{kind.value}-covers-next-prime", 0, x_max) for kind in kinds]
     real = _Claim("lin-schedule-real-bound", 5, x_max)
-    for lo in range(0, x_max + 1, _BLOCK):
-        xs = np.arange(lo, min(lo + _BLOCK, x_max + 1))
-        p = table.prime_list[lo : lo + xs.size]
+    for xs in _blocks(0, x_max):
+        p = table.prime_list[xs[0] : xs[-1] + 1]
         if growth or Schedule.LINLOG in kinds:
             bound = _lin_bound(xs)
         for kind, claim in zip(kinds, claims):
@@ -140,15 +150,13 @@ def _sweep(
                 claim.rows += [(x, float(x + 1), float(q.bit_length()))
                                for x, q in zip(xs.tolist(), p.tolist()) if not _willans_covers(x, q)]
                 continue
-            if kind is Schedule.SQUARE:  # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
-                limits = (xs + 1) ** 2
-            else:
-                limits = np.ceil(bound).astype(np.int64) + 10
+            # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
+            limits = (xs + 1) ** 2 if kind is Schedule.SQUARE else _lin_limits(bound)
             need = p - 1
             slack = limits - need
             claim.add(xs, limits, need, slack, slack < 0)
         if growth:
-            g = slice(max(5 - lo, 0), None)  # the real bound is claimed from x = 5
+            g = slice(max(5 - xs[0], 0), None)  # the real bound is claimed from x = 5
             margin = bound[g] - p[g]
             real.add(xs[g], bound[g], p[g], margin, margin <= 4 * np.spacing(bound[g]))
     return [claim.report() for claim in claims] + ([real.report()] if growth else [])

@@ -4,10 +4,13 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from test_enumerator import record_scans
+from test_schedules import B, with_primes
 
 from primefold import (
+    BoundsReport,
     DomainError,
     RangeError,
     SignatureFamily,
@@ -16,10 +19,68 @@ from primefold import (
     check_minimality,
     check_schedule_divergence,
     check_signature_separation,
+    sieve_for_nth,
     signature,
     u_lin,
 )
 from primefold import analysis, core
+from primefold.analysis import DIVERGENCE_X_MIN
+
+
+def log_ratio(x):
+    """r(x) = (x+1) ln 2 - ln u_lin(x), one x at a time."""
+    return (x + 1) * math.log(2.0) - math.log(u_lin(x))
+
+
+def loop_divergence(x_max, ratios):
+    """Reference: check_schedule_divergence as a loop over x, with r(x) = ratios[x] where given."""
+    r10 = prev = ratios.get(DIVERGENCE_X_MIN, log_ratio(DIVERGENCE_X_MIN))
+    violations = []
+    min_gap = None
+    for x in range(DIVERGENCE_X_MIN + 1, x_max + 1):
+        r = ratios.get(x, log_ratio(x))
+        gap = r - prev
+        if gap <= 4 * math.ulp(prev):
+            violations.append((x, r, prev))
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+        prev = r
+    if x_max >= 60 and prev - (r10 + 10.0) <= 4 * math.ulp(r10 + 10.0):
+        violations.append((x_max, prev, r10 + 10.0))
+    return BoundsReport("schedule-log-ratio-divergence", (1, x_max), tuple(violations), min_gap)
+
+
+def loop_minimality(x_max, table, lowers):
+    """Reference: check_minimality as a loop over x, with p_lower(n) = lowers[n] where given."""
+    violations = []
+    min_rel = None
+    for x in range(5, x_max + 1):
+        p = table.nth_prime(x + 1)
+        n = x + 1
+        lower = lowers.get(n, n * (math.log(n) + math.log(math.log(n)) - 1.0)) - 1.0
+        lhs = float(p - 1)
+        if lhs - lower <= 4 * math.ulp(lower):
+            violations.append((x, lhs, lower))
+        rel = (lhs - lower) / lower
+        if min_rel is None or rel < min_rel:
+            min_rel = rel
+        if u_lin(x) < p - 1:
+            violations.append((x, float(u_lin(x)), float(p - 1)))
+    return BoundsReport("schedule-minimality-chain", (5, x_max), tuple(violations), min_rel)
+
+
+def doctor(monkeypatch, name, values):
+    """Replace analysis.<name>, a function of a block of keys, by one that returns values[key]
+    at each key of `values`."""
+    real = getattr(analysis, name)
+
+    def doctored(keys):
+        out = real(keys)
+        for key, value in values.items():
+            out[keys == key] = value
+        return out
+
+    monkeypatch.setattr(analysis, name, doctored)
 
 
 def test_signature_constants():
@@ -124,30 +185,85 @@ def test_forward_count_axiom_reports_each_kind_of_bad_trace(monkeypatch, small_s
 
 
 def test_minimality_margin_of_one_ulp_is_a_violation(monkeypatch, small_sieve):
-    real = analysis.p_lower
     lower = math.nextafter(12.0, 0.0)  # one ulp below p_6 - 1 = 12, the left side at x = 5
     tight = math.nextafter(13.0, 0.0)  # the same binade, so tight - 1.0 == lower exactly
-    monkeypatch.setattr(analysis, "p_lower", lambda n: tight if n == 6 else real(n))
+    doctor(monkeypatch, "p_lower", {6: tight})
     assert tight - 1.0 == lower and 12.0 - lower == math.ulp(lower)
     report = check_minimality(50, small_sieve)
     assert report.violations == ((5, 12.0, lower),)
+    assert report.min_slack == math.ulp(lower) / lower
 
 
-def test_divergence_gap_of_one_ulp_is_a_violation(monkeypatch):
-    real = analysis._log_ratio
-    r19 = real(19)
-    r20 = math.nextafter(r19, math.inf)  # r(20) - r(19) is one ulp of r(19)
-    monkeypatch.setattr(analysis, "_log_ratio", lambda x: r20 if x == 20 else real(x))
-    report = check_schedule_divergence(100)
-    assert report.violations == ((20, r20, r19),)
-    assert report.min_slack == math.ulp(r19) > 0.0
+@pytest.mark.parametrize("x", [20, B], ids=["inside-a-block", "across-a-block-edge"])
+def test_divergence_gap_of_one_ulp_is_a_violation(monkeypatch, x):
+    # at x = B the sweep's second block compares r(B) with the r(B - 1) its first block carried
+    before = log_ratio(x - 1)
+    tight = math.nextafter(before, math.inf)  # r(x) - r(x - 1) is one ulp of r(x - 1)
+    doctor(monkeypatch, "_log_ratios", {x: tight})
+    report = check_schedule_divergence(B + 100)
+    assert report.violations == ((x, tight, before),)
+    assert report.min_slack == math.ulp(before) > 0.0
 
 
 def test_schedule_divergence_streams_its_log_ratios():
-    tracemalloc.start()
-    try:
-        assert check_schedule_divergence(200_000).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20  # one list of every r(x) peaks near 8 MB here
+    table = sieve_for_nth(200_001)
+    for check in (lambda: check_schedule_divergence(200_000),
+                  lambda: check_minimality(200_000, table)):
+        tracemalloc.start()
+        try:
+            assert check().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one list of every r(x) peaked near 8 MB here
+
+
+def test_minimality_reads_the_last_prime_of_its_table_and_no_further(monkeypatch):
+    table = build_sieve(50)  # 15 primes
+    real, blocks = analysis._lin_bound, []
+    monkeypatch.setattr(analysis, "_lin_bound", lambda xs: blocks.append(xs.size) or real(xs))
+    with pytest.raises(RangeError):  # p_16 is past the table: a slice would drop it silently
+        check_minimality(table.prime_count, table)
+    assert blocks == []
+    assert check_minimality(table.prime_count - 1, table).passed
+    assert blocks == [table.prime_count - 5]
+
+
+RANGES = [10, 11, 59, 60, 61, B - 1, B, B + 1, 2 * B + 5]  # B - 1 ends the sweep's first block
+
+# r(x) dropping at x = 60, at the last x of the first block and the first x of the second
+DIVERGENCE_EDGES = {60: 0.0, B - 1: 1.0, B: 0.5}
+
+
+@pytest.mark.parametrize("x_max", RANGES)
+@pytest.mark.parametrize("ratios", [{}, DIVERGENCE_EDGES], ids=["sieve", "edges"])
+def test_divergence_blocks_equal_the_loop_over_x(monkeypatch, x_max, ratios):
+    doctor(monkeypatch, "_log_ratios", ratios)
+    got = check_schedule_divergence(x_max)
+    assert got.to_dict() == loop_divergence(x_max, ratios).to_dict()
+
+
+# p_{x+1} past u_lin(x) at the last x of the first block, too small for the real link at the
+# first x of the second, and past u_lin again one x later
+MINIMALITY_EDGES = ({B - 1: 10**8, B: 2, B + 1: 10**8}, {})
+# both links fail at x = 7 and at x = B - 1: p_{x+1} past u_lin(x), p_lower(x + 1) past p_{x+1}
+MINIMALITY_BOTH = ({7: 10**6, B - 1: 10**9}, {8: 1e7, B: 1e10})
+
+
+@pytest.mark.parametrize("x_max", [5] + RANGES)
+@pytest.mark.parametrize("primes,lowers", [({}, {}), MINIMALITY_EDGES, MINIMALITY_BOTH],
+                         ids=["sieve", "edges", "both-links"])
+def test_minimality_blocks_equal_the_loop_over_x(monkeypatch, big_sieve, x_max, primes, lowers):
+    table = with_primes(big_sieve, primes)
+    doctor(monkeypatch, "p_lower", lowers)
+    got = check_minimality(x_max, table)
+    assert got.to_dict() == loop_minimality(x_max, table, lowers).to_dict()
+
+
+def test_minimality_doctorings_land_where_they_are_aimed(monkeypatch, big_sieve):
+    assert [v[0] for v in check_minimality(2 * B + 5, with_primes(
+        big_sieve, MINIMALITY_EDGES[0])).violations] == [B - 1, B, B + 1]
+    doctor(monkeypatch, "p_lower", MINIMALITY_BOTH[1])
+    rows = check_minimality(2 * B + 5, with_primes(big_sieve, MINIMALITY_BOTH[0])).violations
+    assert rows == ((7, 10.0**6 - 1, 1e7 - 1), (7, float(u_lin(7)), 10.0**6 - 1),
+                    (B - 1, 10.0**9 - 1, 1e10 - 1), (B - 1, float(u_lin(B - 1)), 10.0**9 - 1))

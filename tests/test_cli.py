@@ -444,8 +444,9 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)  # KiB on Li
 """
 
 
-def test_validate_a_million_under_asserts_stripped_peaks_within_80_mb():
-    argv = (sys.executable, "-O", "-m", "primefold", "validate", "--max", "1000000", "--json")
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_a_million_under_asserts_stripped_peaks_within_80_mb(command):
+    argv = (sys.executable, "-O", "-m", "primefold", command, "--max", "1000000", "--json")
     probe = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=CHILD_ENV,
                            capture_output=True, text=True, check=True)
     code, peak_kib = map(int, probe.stdout.split())
