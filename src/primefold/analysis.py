@@ -119,10 +119,10 @@ def check_minimality(x_max: int, table: SieveTable) -> BoundsReport:
     x_max = as_nat(x_max, "x_max")
     if x_max < 5:
         raise DomainError(f"check_minimality requires x_max >= 5, got {x_max}")
-    table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
+    primes = table.first(x_max + 1)
     claim = _Claim("schedule-minimality-chain", 5, x_max)
     for xs in _blocks(5, x_max):
-        need = table.prime_list[xs[0] : xs[-1] + 1] - 1
+        need = primes[xs[0] : xs[-1] + 1] - 1
         lower = p_lower(xs + 1) - 1.0
         limits = _lin_limits(_lin_bound(xs))
         margin = need - lower
@@ -141,12 +141,12 @@ def check_forward_count_axiom(x_max: int, table: SieveTable) -> BoundsReport:
         raise RangeError(
             f"check_forward_count_axiom is trace-backed; x_max <= {FORWARD_AXIOM_X_MAX}"
         )
-    table.nth_prime(x_max + 1)  # a short table raises RangeError before any scan
+    primes = table.first(x_max + 1)  # a short table raises RangeError before any scan
     prefix_count(u_lin(x_max))  # one wide scan fills the store; every trace below reads it
     violations = []
     for x in range(x_max + 1):
         record = trace(x, Schedule.LINLOG)
-        p = table.nth_prime(x + 1)
+        p = int(primes[x])
         steps = record.steps
         off = steps[(steps != 0) & (steps != 1)]
         if off.size:

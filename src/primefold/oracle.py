@@ -1,7 +1,7 @@
-"""Independent ground truth: a classical sieve of Eratosthenes.
+"""Independent ground truth: a classical sieve of Eratosthenes, kept as its list of primes.
 
-Provides primality flags, the prime counting function pi(m) and the n-th
-prime p_n.  Shares no code with the gcd/floor indicator in `core`; the two
+pi(m) and primality are one binary search of the list, p_n is one index, and `first(n)` is
+p_1..p_n as one checked view.  Shares no code with the gcd/floor indicator in `core`; the two
 are cross-validated against each other in the test suite.
 """
 
@@ -19,10 +19,9 @@ SIEVE_LIMIT_MAX = 10**8
 
 @dataclass(frozen=True, eq=False)
 class SieveTable:
-    """Immutable sieve over [0, limit]; shareable across threads."""
+    """Immutable sieve over [0, limit], held as its primes; shareable across threads."""
 
     limit: int
-    flags: np.ndarray = field(repr=False)
     prime_list: np.ndarray = field(repr=False)
 
     @property
@@ -30,10 +29,8 @@ class SieveTable:
         return int(self.prime_list.size)
 
     def is_prime(self, m: int) -> bool:
-        m = as_nat(m, "m")
-        if m > self.limit:
-            raise RangeError(f"m={m} exceeds sieve limit {self.limit}")
-        return bool(self.flags[m])
+        rank = self.pi(m)  # m is prime iff it is the rank-th prime
+        return rank > 0 and int(self.prime_list[rank - 1]) == m
 
     def pi(self, m: int) -> int:
         """Number of primes <= m."""
@@ -51,6 +48,13 @@ class SieveTable:
             )
         return int(self.prime_list[n - 1])
 
+    def first(self, n: int) -> np.ndarray:
+        """p_1..p_n as a view of the list; a short table raises RangeError, not a truncation."""
+        n = as_nat(n, "n")
+        if n > self.prime_count:
+            raise RangeError(f"n={n} outside [0, {self.prime_count}]; rebuild with a larger limit")
+        return self.prime_list[:n]
+
 
 def build_sieve(limit: int) -> SieveTable:
     """Standard sieve of Eratosthenes up to `limit` inclusive."""
@@ -64,8 +68,7 @@ def build_sieve(limit: int) -> SieveTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    prime_list = np.flatnonzero(flags).astype(np.int64, copy=False)
-    return SieveTable(limit=limit, flags=flags, prime_list=prime_list)
+    return SieveTable(limit=limit, prime_list=np.flatnonzero(flags).astype(np.int64, copy=False))
 
 
 def sieve_limit_for_nth(n: int) -> int:

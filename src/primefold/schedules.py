@@ -14,11 +14,14 @@ admits `evaluate` only for x <= 4,853 and its count never decreases in x
 covers every admitted x; a sieve test holds Dusart's p_lower there too.
 
 The sweeps here and analysis' minimality and divergence checks run over one
-grid of _BLOCK x's, so no array grows with x_max, and validate_schedules takes
-each x's two logarithms once for the lin rows and the real bound together.
-They take math.log of each element: numpy's SIMD log may differ in the last
-ulp between builds and move a ceiling.  A float margin within 4 ulps of its
-bound counts as a violation, not as proof.
+grid of _BLOCK x's, so no array grows with x_max.  validate_schedules is the
+one float sweep: it takes each x's two logarithms once and builds the square,
+lin and real-bound reports together; validate_schedule and
+check_lin_growth_bound each return one of them.  The Willans rows are an exact
+integer loop over the same grid.  The float sweep takes math.log of each
+element: numpy's SIMD log may differ in the last ulp between builds and move a
+ceiling.  A float margin within 4 ulps of its bound counts as a violation, not
+as proof.
 """
 
 from __future__ import annotations
@@ -132,50 +135,43 @@ class _Claim:
         return BoundsReport(self.claim_id, self.x_range, tuple(self.rows), self.least)
 
 
-def _sweep(
-    x_max: int, table: SieveTable, kinds: Tuple[Schedule, ...], growth: bool
-) -> List[BoundsReport]:
-    """validate_schedule's report for each of `kinds`, then check_lin_growth_bound's if `growth`,
-    from one pass over x in [0, x_max] in blocks of _BLOCK: one _lin_bound call per block."""
+def validate_schedules(x_max: int, table: SieveTable) -> List[BoundsReport]:
+    """validate_schedule's SQUARE and LINLOG reports, then check_lin_growth_bound's, from one
+    pass over x in [0, x_max] in blocks of _BLOCK: one _lin_bound call per block."""
     x_max = as_nat(x_max, "x_max")
-    table.nth_prime(x_max + 1)  # a short table raises RangeError here; a slice would truncate
-    claims = [_Claim(f"schedule-{kind.value}-covers-next-prime", 0, x_max) for kind in kinds]
+    primes = table.first(x_max + 1)
+    square, lin = (_Claim(f"schedule-{kind.value}-covers-next-prime", 0, x_max)
+                   for kind in (Schedule.SQUARE, Schedule.LINLOG))
     real = _Claim("lin-schedule-real-bound", 5, x_max)
     for xs in _blocks(0, x_max):
-        p = table.prime_list[xs[0] : xs[-1] + 1]
-        if growth or Schedule.LINLOG in kinds:
-            bound = _lin_bound(xs)
-        for kind, claim in zip(kinds, claims):
-            if kind is Schedule.WILLANS:  # the exponent x + 1 against the bits of p, exactly
-                claim.rows += [(x, float(x + 1), float(q.bit_length()))
-                               for x, q in zip(xs.tolist(), p.tolist()) if not _willans_covers(x, q)]
-                continue
-            # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
-            limits = (xs + 1) ** 2 if kind is Schedule.SQUARE else _lin_limits(bound)
-            need = p - 1
+        p, bound = primes[xs[0] : xs[-1] + 1], _lin_bound(xs)
+        need = p - 1
+        # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
+        for claim, limits in ((square, (xs + 1) ** 2), (lin, _lin_limits(bound))):
             slack = limits - need
             claim.add(xs, limits, need, slack, slack < 0)
-        if growth:
-            g = slice(max(5 - xs[0], 0), None)  # the real bound is claimed from x = 5
-            margin = bound[g] - p[g]
-            real.add(xs[g], bound[g], p[g], margin, margin <= 4 * np.spacing(bound[g]))
-    return [claim.report() for claim in claims] + ([real.report()] if growth else [])
+        g = slice(max(5 - xs[0], 0), None)  # the real bound is claimed from x = 5
+        margin = bound[g] - p[g]
+        real.add(xs[g], bound[g], p[g], margin, margin <= 4 * np.spacing(bound[g]))
+    return [square.report(), lin.report(), real.report()]
 
 
 def validate_schedule(kind: Schedule, x_max: int, table: SieveTable) -> BoundsReport:
     """Certify the defining inequality of `kind` on [0, x_max] via the sieve.
 
-    Square/Linlog rows require U(x) >= p_{x+1} - 1, checked over blocks of x;
-    Willans rows require the stronger W(x) >= p_{x+1}, one x at a time,
-    tested exactly on the bit length of p.
+    Square/Linlog rows require U(x) >= p_{x+1} - 1: validate_schedules' report.
+    Willans rows require the stronger W(x) >= p_{x+1}, tested exactly on the
+    bit length of p over the same blocks of x.
     """
-    return _sweep(x_max, table, (kind,), growth=False)[0]
-
-
-def validate_schedules(x_max: int, table: SieveTable) -> List[BoundsReport]:
-    """validate_schedule's SQUARE and LINLOG reports, then check_lin_growth_bound's, from one
-    sweep that takes each x's two logarithms once."""
-    return _sweep(x_max, table, (Schedule.SQUARE, Schedule.LINLOG), growth=True)
+    if kind is not Schedule.WILLANS:
+        return validate_schedules(x_max, table)[0 if kind is Schedule.SQUARE else 1]
+    x_max = as_nat(x_max, "x_max")
+    primes = table.first(x_max + 1)
+    rows = []
+    for xs in _blocks(0, x_max):  # the exponent x + 1 against the bits of p
+        rows += [(x, float(x + 1), float(q.bit_length())) for x, q in
+                 zip(xs.tolist(), primes[xs[0] : xs[-1] + 1].tolist()) if not _willans_covers(x, q)]
+    return BoundsReport(f"schedule-{kind.value}-covers-next-prime", (0, x_max), tuple(rows))
 
 
 def square_schedule_base_cases(table: SieveTable) -> BoundsReport:
@@ -198,4 +194,4 @@ def check_lin_growth_bound(x_max: int, table: SieveTable) -> BoundsReport:
     x_max = as_nat(x_max, "x_max")
     if x_max < 5:  # an empty range reads no table
         return BoundsReport("lin-schedule-real-bound", (5, x_max))
-    return _sweep(x_max, table, (), growth=True)[0]
+    return validate_schedules(x_max, table)[2]

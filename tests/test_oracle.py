@@ -1,6 +1,8 @@
 """Sieve oracle tests, including the cross-validation against the indicator."""
 
+import dataclasses
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from primefold import (
     DomainError,
     IndicatorVariant,
     RangeError,
+    SieveTable,
     build_sieve,
     indicator,
     sieve_for_nth,
@@ -40,9 +43,9 @@ def test_build_sieve_examples():
 
 def test_table_shape_invariants(small_sieve):
     t = small_sieve
-    assert not t.flags[0] and not t.flags[1] and t.flags[2]
+    assert not t.is_prime(0) and not t.is_prime(1) and t.is_prime(2)
     assert t.prime_count == t.pi(t.limit)
-    # pi_prefix steps exactly with the flags
+    # pi steps exactly with primality
     for m in range(1, 300):
         assert t.pi(m) - t.pi(m - 1) == (1 if t.is_prime(m) else 0)
 
@@ -65,9 +68,21 @@ def test_round_trip_nth_of_pi(small_sieve):
         assert small_sieve.nth_prime(small_sieve.pi(int(p))) == p
 
 
-def test_flags_match_trial_division(small_sieve):
-    for m in range(2, 2001):
-        assert small_sieve.is_prime(m) == is_prime_trial(m)
+@pytest.mark.parametrize("limit", [2, 3, 10_000])
+def test_is_prime_matches_trial_division_on_the_whole_table(limit):
+    t = build_sieve(limit)
+    ms = range(limit + 1)
+    assert [t.is_prime(m) for m in ms] == [is_prime_trial(m) for m in ms]
+
+
+def test_first_is_a_checked_view_of_the_prime_list(small_sieve):
+    t = small_sieve
+    for n in (0, 1, t.prime_count):
+        head = t.first(n)
+        assert head.tolist() == t.prime_list[:n].tolist()
+        assert n == 0 or np.shares_memory(head, t.prime_list)  # a view, not a copy
+    with pytest.raises(RangeError):
+        t.first(t.prime_count + 1)
 
 
 def test_cross_validation_against_indicator(big_sieve):
@@ -87,6 +102,8 @@ def test_errors():
         t.nth_prime(t.prime_count + 1)
     with pytest.raises(RangeError):
         t.pi(51)
+    with pytest.raises(RangeError):
+        t.is_prime(51)
     with pytest.raises(DomainError):
         t.nth_prime(-3)
 
@@ -102,8 +119,10 @@ def test_nth_prime_matches_trial_division(small_sieve, n):
     assert small_sieve.nth_prime(n) == nth_prime_trial(n)
 
 
-def test_pi_equals_the_running_count_of_flags_on_the_whole_table(small_sieve):
+def test_pi_equals_the_running_count_of_trial_division_on_the_whole_table(small_sieve):
     t = small_sieve
-    assert [t.pi(m) for m in range(t.limit + 1)] == np.cumsum(t.flags).tolist()
+    running = accumulate(is_prime_trial(m) for m in range(t.limit + 1))
+    assert [t.pi(m) for m in range(t.limit + 1)] == list(running)
     assert t.pi(t.limit) == t.prime_count and t.pi(0) == 0
-    assert not hasattr(t, "pi_prefix")  # pi reads the prime list; no per-integer array is kept
+    # the table is its prime list; no per-integer array is kept
+    assert [f.name for f in dataclasses.fields(SieveTable)] == ["limit", "prime_list"]

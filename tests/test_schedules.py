@@ -124,7 +124,7 @@ def test_validate_schedule_passes(kind, small_sieve):
 
 def test_validate_willans_exact_and_log_ranges(small_sieve):
     assert validate_schedule(Schedule.WILLANS, 60, small_sieve).passed
-    # x > 62 exercises the log2-space comparison
+    # x > 62: 2^(x+1) outgrows 64 bits, and the comparison stays exact on the bits of p
     assert validate_schedule(Schedule.WILLANS, 100, small_sieve).passed
 
 
@@ -212,7 +212,7 @@ def with_primes(table, values):
     primes = table.prime_list.copy()
     for x, p in values.items():
         primes[x] = p
-    return SieveTable(limit=table.limit, flags=table.flags, prime_list=primes)
+    return SieveTable(limit=table.limit, prime_list=primes)
 
 
 def doctored(table, bumps):
@@ -336,6 +336,7 @@ def test_sweep_memory_does_not_grow_with_x_max():
         for sweep in (lambda: [validate_schedule(Schedule.SQUARE, x_max, table)],
                       lambda: [validate_schedule(Schedule.LINLOG, x_max, table)],
                       lambda: [check_lin_growth_bound(x_max, table)],
+                      lambda: [validate_schedule(Schedule.WILLANS, x_max, table)],
                       lambda: schedules.validate_schedules(x_max, table)):
             tracemalloc.start()
             try:
@@ -370,10 +371,32 @@ def test_lin_growth_margin_of_one_ulp_is_a_violation(monkeypatch, small_sieve):
 def test_willans_rows_hold_the_exponent_and_the_bits_of_p(small_sieve):
     primes = small_sieve.prime_list.astype(object)  # p past 2^101 needs more than 64 bits
     primes[10], primes[20], primes[100] = 2**11 + 1, 2**21, 2**101 + 1  # 2^21 still covers
-    table = SieveTable(limit=small_sieve.limit, flags=small_sieve.flags, prime_list=primes)
+    table = SieveTable(limit=small_sieve.limit, prime_list=primes)
     report = validate_schedule(Schedule.WILLANS, 200, table)
     assert report.violations == ((10, 11.0, 12.0), (100, 101.0, 102.0))
     assert report.min_slack is None
+
+
+def willans_reference(x_max, table):
+    """Reference: validate_schedule(WILLANS)'s rows, one x at a time against 2^(x+1)."""
+    rows = []
+    for x in range(x_max + 1):
+        p = table.nth_prime(x + 1)
+        if p > 2 ** (x + 1):
+            rows.append((x, float(x + 1), float(p.bit_length())))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("x_max", [B - 1, B, B + 1, 2 * B + 5])
+def test_willans_blocks_equal_the_loop_over_x(big_sieve, x_max):
+    primes = big_sieve.prime_list.astype(object)
+    # one past W(x) at the last x of the first block and the first x of the next
+    primes[B - 1], primes[B] = 2**B + 1, 2 ** (B + 1) + 1
+    table = SieveTable(limit=big_sieve.limit, prime_list=primes)
+    report = validate_schedule(Schedule.WILLANS, x_max, table)
+    assert report.violations == willans_reference(x_max, table)
+    assert [v[0] for v in report.violations] == [x for x in (B - 1, B) if x <= x_max]
+    assert (report.x_range, report.min_slack) == ((0, x_max), None)
 
 
 def test_willans_cover_is_the_exact_comparison():
