@@ -1,11 +1,13 @@
 """Instrumented re-execution with exact operation-count checks.
 
 Counted runs re-evaluate the folded expression with no shortcut and no
-store.  The scans of I(2..i) that a run evaluates are one k-major scan
-(`core._counted_scans`) by the kernel that fills the store; the incremental
-runs of one audit share one.  The kernel returns the start s of every row
-it runs, and a row tests the elements [s, N), so the divisor tests are
-tallied from the rows that ran and the floors from the elements floored.
+store.  A naive run at U evaluates the scans I(2..i) of i = 1..U, an
+incremental one the scan of i = U.  Consecutive runs of one audit, naive or
+incremental, pool their scans into one k-major scan (`core._counted_scans`)
+by the kernel that fills the store, up to _BATCH elements; runs never share
+a scan.  The kernel returns the start s of every row it runs, and a row
+tests the elements [s, N), so the divisor tests are tallied from the rows
+that ran and the floors from the elements floored.
 Each run's tallies are built once, from what its scans and its fold returned.
 Every k-range reaches j-1 and the i-loop reaches the forced limit U.
 `AuditRow.match` requires all six tallies:
@@ -36,6 +38,10 @@ from .core import closed_form_incremental, closed_form_naive  # also exported fr
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat
 from .oracle import build_sieve
+
+# Elements of the k-major scan that consecutive counted runs share.  About 24 bytes each at
+# the peak: 2^16 adds 0.6 MB to `audit --u-max 81`, and a larger cap saves little time.
+_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,21 +101,32 @@ def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,
                   variant: IndicatorVariant) -> list:
     """(value, tallies) of the counted run at each U = u_min..u_max, x = xs[U - u_min].
 
-    Each run's scans are one `_counted_scans` call, and the incremental runs share one.
+    Run U evaluates the scans I(2..i) of i = 1..U naive and of i = U incremental.  Consecutive
+    runs share one `_counted_scans` call while their scans hold at most _BATCH elements
+    together (a run over it alone is a call of its own); runs never share a scan.
     """
-    runs = []
-    if mode is EvalMode.INCREMENTAL:  # run U scans I(2..U) once; S carries over, one + per i
-        ind, tests, floors = _counted_scans(u_min, u_max, variant)
-        for r, x in enumerate(xs):
-            prefixes = np.cumsum(ind[r, 1 : u_min + r + 1], dtype=np.uint64)  # S(1..U)
-            runs.append(_counted_fold(x, prefixes, variant, int(tests[r]), int(floors[r]),
-                                      prefixes.size))
-        return runs
-    for u, x in zip(range(u_min, u_max + 1), xs):  # run U re-scans I(2..i) for each i = 1..U
-        ind, tests, floors = _counted_scans(1, u, variant)
-        floored = int(floors.sum())  # each S(i) re-sums its own scan's I's, one + per I
-        runs.append(_counted_fold(x, ind.sum(axis=1, dtype=np.uint64), variant,
-                                  int(tests.sum()), floored, floored))
+    naive = mode is EvalMode.NAIVE
+    ends = [np.arange(1 if naive else u, u + 1, dtype=np.uint32) for u in range(u_min, u_max + 1)]
+    sizes = [int(e.sum()) - e.size for e in ends]  # scan i holds j = 2..i
+    runs, start = [], 0
+    while start < len(ends):
+        stop, held = start + 1, sizes[start]
+        while stop < len(ends) and held + sizes[stop] <= _BATCH:
+            held, stop = held + sizes[stop], stop + 1
+        ind, tests, floors = _counted_scans(np.concatenate(ends[start:stop]), variant)
+        first = 0
+        for u_ends, x in zip(ends[start:stop], xs[start:stop]):
+            scans = slice(first, first + u_ends.size)
+            first = scans.stop
+            floored = int(floors[scans].sum())
+            if naive:  # run U re-sums each S(i) from its own scan's I's, one + per I
+                prefixes, resums = ind[scans].sum(axis=1, dtype=np.uint64), floored
+            else:  # run U scans I(2..U) once; S carries over, one + per i
+                prefixes = np.cumsum(ind[scans.start, 1 : u_ends[0] + 1], dtype=np.uint64)
+                resums = prefixes.size
+            runs.append(_counted_fold(x, prefixes, variant, int(tests[scans].sum()), floored,
+                                      resums))
+        start = stop
     return runs
 
 

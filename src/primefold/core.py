@@ -23,11 +23,13 @@ other scan runs on the caller's thread: threads cost a smaller one more than
 they save, and delta rows, a few microseconds each, would contend for the GIL.
 Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
 the kernel fills: `_Store.fill(m)` scans exactly the j <= m the store lacks,
-so `prefix_count(i)` scans no j past i.  A counted run reads no store: it is
-one `_counted_scans` call, one k-major scan over each j once per scan of
-I(2..i) that reaches it.  `_k_major` returns the start s of every row that ran
-with its hits, and a row from s tests the elements [s, N), so each test tallied
-is one that ran.  `_fold` is the one fold of S(1..U) into f, for every caller.
+so `prefix_count(i)` scans no j past i.  A counted run reads no store: its
+scans of I(2..i) are part of one `_counted_scans` call, one k-major scan over
+each j once per scan that reaches it, which consecutive runs of one audit
+share.  `_k_major` returns the start s of every row that ran with its hits,
+and a row from s tests the elements [s, N), so each test tallied is one that
+ran.  Only a delta scan allocates the j - 1 vector and the second scratch row.
+`_fold` is the one fold of S(1..U) into f, for every caller.
 Entry points, store fills and single-j scans first pass their count of
 divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 """
@@ -154,15 +156,17 @@ def _k_major(js, variant: IndicatorVariant):
     hi = int(js[-1]) if js.size else 2
     ks = np.arange(2, hi, dtype=np.uint32)  # a Python int k would cost each numpy call a cast
     starts = np.searchsorted(js, ks, "right").tolist()  # row k's first element
-    js1 = js - 1
     tests = js.size * ks.size - sum(starts)  # row k tests the elements [start, N)
-    w = _WORKERS if variant is IndicatorVariant.GCD and tests >= _SPLIT_TESTS else 1
+    gcd = variant is IndicatorVariant.GCD
+    w = _WORKERS if gcd and tests >= _SPLIT_TESTS else 1
+    js1 = js if gcd else js - 1  # only the delta test reads js - 1 and the scratch row b
     accs = np.zeros((w, js.size), np.uint32)
     stop, errors, ran = threading.Event(), [], []
 
     def rows(i):
         try:
-            acc, (a, b) = accs[i], np.empty((2, js.size), np.uint32)
+            acc, a = accs[i], np.empty(js.size, np.uint32)
+            b = a if gcd else np.empty(js.size, np.uint32)
             for k, s in zip(ks[i::w], starts[i::w]):
                 if stop.is_set():
                     return
@@ -194,22 +198,23 @@ def _indicators(lo: int, hi: int, variant: IndicatorVariant):
     return 1 // (1 + _scan_hits(lo, hi, variant))
 
 
-def _counted_scans(u_min: int, u_max: int, variant: IndicatorVariant):
-    """The scans I(2..i) of i = u_min..u_max (1 <= u_min <= u_max), as one counted k-major scan.
+def _counted_scans(ends, variant: IndicatorVariant):
+    """The scans I(2..i) of each i >= 1 in the uint32 array `ends`, as one counted k-major scan.
 
-    Its uint32 vector holds each j = 2..u_max once per scan i = max(j, u_min)..u_max, j-major,
-    so row k tests each scan's own (k, j) pairs; no row reaches j = 2, so I(2) = 1 // (1 + 0).
-    Returns the I's as a table (row i - u_min, column j, 0 past i) and, per scan, its divisor
-    tests and indicator floors.  A row from start s tests the elements [s, N), so the tests
-    come from the starts of the rows that ran, and the floors from the elements floored.
+    Its vector holds each j = 2..max(ends) once per scan that reaches it, j-major, so row k
+    tests each scan's own (k, j) pairs; no row reaches j = 2, so I(2) = 1 // (1 + 0).
+    Returns the I's as a table (row r for ends[r], column j, 0 past i) and, per scan, its
+    divisor tests and indicator floors.  A row from start s tests the elements [s, N), so the
+    tests come from the starts of the rows that ran, and the floors from the elements floored.
     """
-    j = np.arange(u_max + 1, dtype=np.uint32)[:, None]
-    holds = (j >= 2) & (j <= np.arange(u_min, u_max + 1, dtype=np.uint32))  # [j, i - u_min]
+    j = np.arange(int(ends.max()) + 1, dtype=np.uint32)[:, None]
+    holds = (j >= 2) & (j <= ends)  # [j, scan]
     hits, ran = _k_major(np.broadcast_to(j, holds.shape)[holds], variant)  # j-major: ascending
-    tested = np.zeros(hits.size, np.uint32)  # the rows that tested each element: those from s <= it
-    np.add.at(tested, np.array(ran, np.intp), 1)
     ind, tests = np.zeros(holds.shape, np.uint8), np.zeros(holds.shape, np.uint32)
-    ind[holds] = 1 // (1 + hits)
+    ind[holds] = np.floor_divide(1, np.add(hits, 1, out=hits), out=hits)
+    tested = hits  # reused, zeroed: the rows that tested each element, those from s <= it
+    tested[:] = 0
+    np.add.at(tested, np.array(ran, np.intp), 1)
     tests[holds] = np.cumsum(tested, dtype=np.uint32, out=tested)
     return ind.T, tests.sum(axis=0, dtype=np.int64), holds.sum(axis=0)
 

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -312,12 +313,57 @@ SPREAD = [*range(1, 65), 100, 150, 200, 255, 256, 257, 260, 300]
 def test_batched_rescans_equal_one_scan_per_rescan(variant):
     reference = one_scan_at_a_time(variant, range(1, max(SPREAD) + 1))
     for u in SPREAD:  # a naive run at U evaluates the scans i = 1..U
-        table, tests, floors = core._counted_scans(1, u, variant)
+        table, tests, floors = core._counted_scans(np.arange(1, u + 1, dtype=np.uint32), variant)
         assert table.shape == (u, u + 1)
         for i, (ind, _) in enumerate(reference[:u], 1):
             assert table[i - 1].tolist() == [0, 0, *ind, *[0] * (u - i)]
         assert tests.tolist() == [tested for _, tested in reference[:u]]
         assert floors.tolist() == [len(ind) for ind, _ in reference[:u]]
+
+
+def one_naive_run_at_a_time(variant, us, xs):
+    """(value, tallies) of each naive run at U with x, from its own scans of I(2..i), i = 1..U,
+    and a fold in Python; every tally is counted from the elements it covers."""
+    gcd, reference, scans = variant is GCD, [], one_scan_at_a_time(variant, range(1, max(us) + 1))
+    for u, x in zip(us, xs):
+        prefixes = [sum(ind) for ind, _ in scans[:u]]  # S(1..U), each re-summed from its scan
+        tested, floors = sum(t for _, t in scans[:u]), sum(len(ind) for ind, _ in scans[:u])
+        steps = [1 // (1 + s // (x + 1)) for s in prefixes]
+        counts = OpCounts(
+            gcd_calls=tested if gcd else 0, delta_calls=0 if gcd else tested,
+            inner_test_floors=(1 if gcd else 2) * tested, indicator_floors=floors,
+            step_floors=2 * len(steps), additions=floors + floors + 3 * len(steps) + 1,
+        )
+        reference.append((1 + sum(steps), counts))
+    return reference
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_batched_naive_runs_equal_one_run_each(monkeypatch, variant, workers):
+    us = range(2, 65)
+    xs = [build_sieve(64).pi(u) for u in us]
+    reference = one_naive_run_at_a_time(variant, us, xs)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd batch splits
+    batches, counted_scans = [], audit._counted_scans
+
+    def recording(ends, v):
+        batches.append(ends.tolist())
+        return counted_scans(ends, v)
+
+    monkeypatch.setattr(audit, "_counted_scans", recording)
+    runs_per_batch = set()
+    for cap in (0, 4000, comb(65, 3)):  # one run a batch; 27, ..., 2 and 1; all 63 runs in one
+        monkeypatch.setattr(audit, "_BATCH", cap)
+        batches.clear()
+        assert audit._counted_runs(xs, 2, 64, EvalMode.NAIVE, variant) == reference
+        assert [i for ends in batches for i in ends] == [i for u in us for i in range(1, u + 1)]
+        for ends in batches:
+            runs = ends.count(1)  # each naive run's scans start at i = 1
+            assert sum(ends) - len(ends) <= cap or runs == 1  # scan i holds i - 1 elements
+            runs_per_batch.add(runs)
+    assert {1, 2, 27, 63} <= runs_per_batch
 
 
 def one_row_at_a_time(variant, us, xs):

@@ -137,11 +137,16 @@ def test_indicator_variants_agree_and_match_oracle(j):
     assert indicator(j, DELTA) == expected
 
 
+def scans(lo, hi):
+    """The ends of the scans I(2..i), i = lo..hi, as `core._counted_scans` takes them."""
+    return np.arange(lo, hi + 1, dtype=np.uint32)
+
+
 @given(st.integers(min_value=2, max_value=3_000),
        st.sampled_from([GCD, DELTA]))
 def test_counted_path_matches_cached_value(j, variant):
     cached = indicator(j, variant)
-    table, _, _ = core._counted_scans(j, j, variant)  # the one scan I(2..j)
+    table, _, _ = core._counted_scans(scans(j, j), variant)  # the one scan I(2..j)
     assert table[0, j] == cached
     assert table[0, :2].tolist() == [0, 0]
 
@@ -153,7 +158,7 @@ def trial_tests(i):
 
 def test_counted_indicator_tallies_sites():
     for variant in (GCD, DELTA):
-        table, tests, floors = core._counted_scans(9, 9, variant)
+        table, tests, floors = core._counted_scans(scans(9, 9), variant)
         assert table.tolist() == [[0, 0, 1, 1, 0, 1, 0, 1, 0, 0]]  # I(2..9)
         assert tests.tolist() == [trial_tests(9)] == [28]
         assert floors.tolist() == [8]  # one floor per j = 2..9, I(2) = 1 // (1 + 0) included
@@ -163,7 +168,7 @@ def test_counted_indicator_tallies_sites():
         assert counts.inner_test_floors == (28 if variant is GCD else 56)  # two floors per delta
         assert counts.indicator_floors == 8
         assert counts.additions == 8 + 9 + 18 + 10  # 1 + sums, S updates, steps', outer sum
-        _, tests, floors = core._counted_scans(1, 9, variant)  # the naive run's scans I(2..i)
+        _, tests, floors = core._counted_scans(scans(1, 9), variant)  # a naive run's I(2..i)
         assert tests.tolist() == [trial_tests(i) for i in range(1, 10)] and sum(tests) == 84
         assert floors.tolist() == list(range(9)) and sum(floors) == 36
         _, counts = run_counted(4, 9, EvalMode.NAIVE, variant)
@@ -182,7 +187,7 @@ def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
     for lo in (2, 3, 17, 40, 41, 148, 149, 150, 151):  # k-major up to lo = 299 // 2, j-major past it
         assert core._scan_hits(lo, 299, variant).tolist() == expected[lo - 2 :]
     for lo in (2, 148, 151):  # counted scans I(2..i), i = lo..299, run k-major at any lo
-        table, tests, floors = core._counted_scans(lo, 299, variant)
+        table, tests, floors = core._counted_scans(scans(lo, 299), variant)
         assert tests.tolist() == [trial_tests(i) for i in range(lo, 300)]
         assert floors.tolist() == [i - 1 for i in range(lo, 300)]
         for i in (lo, 299):
@@ -206,11 +211,30 @@ def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers
     try:
         for lo, hi in ((2, 300), (41, 300), (41, 301), (100, 299), (150, 301)):  # 296-299 rows
             assert core._scan_hits(lo, hi, variant).tolist() == expected[lo - 2 : hi - 1]
-        table, tests, _ = core._counted_scans(41, 301, variant)  # under the same worker counts
+        table, tests, _ = core._counted_scans(scans(41, 301), variant)  # under the same workers
     finally:
         sys.setswitchinterval(interval)
     assert tests.tolist() == [trial_tests(i) for i in range(41, 302)]
     assert table[-1, 2:].tolist() == [int(n == 0) for n in expected]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_gcd_scan_allocates_no_delta_arrays_and_keeps_every_hit(monkeypatch, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
+    rows, divisor_tests = set(), core._divisor_tests
+
+    def recording(ks, js, js1, a, b, variant):
+        rows.add((variant, np.shares_memory(js1, js), np.shares_memory(b, a)))
+        return divisor_tests(ks, js, js1, a, b, variant)
+
+    monkeypatch.setattr(core, "_divisor_tests", recording)
+    expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 301)]
+    for variant in (GCD, DELTA):
+        assert core._scan_hits(2, 300, variant).tolist() == expected
+        assert core._k_major(scans(2, 300), variant)[0].tolist() == expected
+    # a gcd row reads js for js - 1 and a for b; a delta row has both of its own
+    assert rows == {(GCD, True, True), (DELTA, False, False)}
 
 
 class _RowFailed(Exception):
@@ -253,7 +277,7 @@ def test_a_scan_splits_by_its_variant_and_its_own_test_count(monkeypatch):
     uncounted = sum(j - 2 for j in range(41, 301))  # _scan_hits(41, 300): k = 2..j-1 per j
     naive = np.repeat(np.arange(2, 61, dtype=np.uint32), np.arange(59, 0, -1))  # U = 60's scans
     for tests, scan in ((uncounted, lambda v: core._scan_hits(41, 300, v)),
-                        (closed_form_naive(60), lambda v: core._counted_scans(1, 60, v)),
+                        (closed_form_naive(60), lambda v: core._counted_scans(scans(1, 60), v)),
                         (closed_form_naive(60), lambda v: core._k_major(naive, v))):
         for threshold, threads in ((tests + 1, 0), (tests, 2), (0, 2)):  # one test below, at, over
             monkeypatch.setattr(core, "_SPLIT_TESTS", threshold)
@@ -270,7 +294,7 @@ def test_a_split_counted_run_at_u_2_keeps_its_tallies(monkeypatch):
     unsplit = [run_counted(x, 2, EvalMode.NAIVE, GCD) for x in (0, 1, 5)]
     monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # U = 2 passes one element and no row
     monkeypatch.setattr(core, "_WORKERS", 3)
-    table, tests, floors = core._counted_scans(1, 2, GCD)
+    table, tests, floors = core._counted_scans(scans(1, 2), GCD)
     assert table.tolist() == [[0, 0, 0], [0, 0, 1]]  # I(2) = 1 // (1 + 0)
     assert tests.tolist() == [trial_tests(1), trial_tests(2)] == [0, 0]
     assert floors.tolist() == [0, 1]
