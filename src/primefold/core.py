@@ -21,14 +21,16 @@ divisor tests deals its rows out over the _WORKERS usable CPUs, since np.gcd
 waits on one hardware division per Euclid step with the GIL released.  Every
 other scan runs on the caller's thread: threads cost a smaller one more than
 they save, and delta rows, a few microseconds each, would contend for the GIL.
-Uncounted runs read a per-variant store of I(j) (int8) and S(j) (int64) that
-the kernel fills: `_Store.fill(m)` scans exactly the j <= m the store lacks,
-so `prefix_count(i)` scans no j past i.  A counted run reads no store: its
-scans of I(2..i) are part of one `_counted_scans` call, one k-major scan over
-each j once per scan that reaches it, which consecutive runs of one audit
-share.  `_k_major` returns the start s of every row that ran with its hits,
-and a row from s tests the elements [s, N), so each test tallied is one that
-ran.  Only a delta scan allocates the j - 1 vector and the second scratch row.
+Uncounted runs read a per-variant store, one int8 array I(0..n) with
+I(0) = I(1) = 0: `_fill(variant, m)` scans exactly the j in (n, m] and
+replaces the array, never writing one in place, so `prefix_count(i)` scans no
+j past i.  S is the int64 running sum each reader takes of the I's it reads.
+A counted run reads no store: its scans of I(2..i) are part of one
+`_counted_scans` call, one k-major scan over each j once per scan that
+reaches it, which consecutive runs of one audit share.  `_k_major` returns
+the start s of every row that ran with its hits, and a row from s tests the
+elements [s, N), so each test tallied is one that ran.  Only a delta scan
+allocates the j - 1 vector and the second scratch row.
 `_fold` is the one fold of S(1..U) into f, for every caller.
 Entry points, store fills and single-j scans first pass their count of
 divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
@@ -219,37 +221,25 @@ def _counted_scans(ends, variant: IndicatorVariant):
     return ind.T, tests.sum(axis=0, dtype=np.int64), holds.sum(axis=0)
 
 
-class _Store:
-    """I(j) and S(j) of one variant for every j <= n; slots 0 and 1 hold 0."""
-
-    def __init__(self, variant: IndicatorVariant) -> None:
-        self.variant = variant
-        self.n = 1
-        self.ind = np.zeros(64, np.int8)
-        self.pre = np.zeros(64, np.int64)
-
-    def fill(self, m: int) -> None:
-        """Scan every j in (n, m] into the store, doubling its capacity as needed."""
-        lo = self.n + 1
-        if m < lo:
-            return
-        admit((m - self.n) * (m + self.n - 3) // 2, f"scanning j in [{lo}, {m}]")  # sum of j - 2
-        if m >= self.ind.size:
-            cap = max(m + 1, 2 * self.ind.size)
-            self.ind, self.pre = (np.pad(a, (0, cap - a.size)) for a in (self.ind, self.pre))
-        self.ind[lo : m + 1] = _indicators(lo, m, self.variant)
-        self.pre[lo : m + 1] = self.pre[self.n] + np.cumsum(self.ind[lo : m + 1], dtype=np.int64)
-        self.n = m
-
-
-_STORES: Dict[IndicatorVariant, _Store] = {}
+_STORES: Dict[IndicatorVariant, np.ndarray] = {}
 
 
 def _reset_stores() -> None:
-    _STORES.update((variant, _Store(variant)) for variant in IndicatorVariant)
+    _STORES.update((variant, np.zeros(2, np.int8)) for variant in IndicatorVariant)
 
 
 _reset_stores()
+
+
+def _fill(variant: IndicatorVariant, m: int):
+    """The store I(0..max(n, m)) of `variant`: any j in (n, m] scanned into a new array."""
+    ind = _STORES[variant]
+    n = ind.size - 1
+    if m > n:
+        admit((m - n) * (m + n - 3) // 2, f"scanning j in [{n + 1}, {m}]")  # sum of j - 2
+        ind = np.concatenate((ind, _indicators(n + 1, m, variant)), dtype=np.int8)
+        _STORES[variant] = ind
+    return ind
 
 
 def indicator(j: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> int:
@@ -257,11 +247,11 @@ def indicator(j: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> int:
     j = as_nat(j, "j")
     if j < 2:
         raise DomainError(f"indicator requires j >= 2, got {j}")
-    store = _STORES[variant]
-    if j == store.n + 1:  # the next j costs the same scan stored or not
-        store.fill(j)
-    if j <= store.n:
-        return int(store.ind[j])
+    ind = _STORES[variant]
+    if j == ind.size:  # the next j costs the same scan stored or not
+        ind = _fill(variant, j)
+    if j < ind.size:
+        return int(ind[j])
     admit(j - 2, f"the indicator of j = {j}")
     return int(_indicators(j, j, variant)[0])
 
@@ -271,9 +261,7 @@ def prefix_count(i: int, variant: IndicatorVariant = IndicatorVariant.GCD) -> in
     i = as_nat(i, "i")
     if i < 1:
         raise DomainError(f"prefix_count requires i >= 1, got {i}")
-    store = _STORES[variant]
-    store.fill(i)
-    return int(store.pre[i])
+    return int(_fill(variant, i)[: i + 1].sum(dtype=np.int64))
 
 
 def _steps(prefix, x: int):

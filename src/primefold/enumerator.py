@@ -13,7 +13,7 @@ the next x + 1 - S(n) j's: S rises by at most 1 per j and S(p_{x+1}) = x + 1,
 so no fill passes the flip, and a cold store ends at n = p_{x+1}.  One fold
 then runs over i in [1, min(U, n)].  The modes differ only in S(i):
 
-* INCREMENTAL reads the carried S(i),
+* INCREMENTAL takes every S(i) from one running sum of the I's,
 * NAIVE re-sums I(2..i) from scratch for every i, one numpy sum each
   (the triple-nested reading; cubic in the limit).
 """
@@ -26,7 +26,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _STORES, IndicatorVariant, _fold, _steps, admit, closed_form_incremental
+from .core import IndicatorVariant, _fill, _fold, _steps, admit, closed_form_incremental
 from .nat import DomainError, as_nat
 from .oracle import sieve_for_nth
 from .schedules import Schedule, p_lower, schedule_limit, u_lin
@@ -88,16 +88,14 @@ def evaluate(
     limit = schedule_limit(schedule, x)
     # the flip p_{x+1} <= u_lin(x) (Rosser-Schoenfeld) ends the scan
     admit(closed_form_incremental(max(min(limit, u_lin(x)), 2)), f"evaluating x = {x}")
-    store = _STORES[variant]
-    if x >= 5:  # one wide scan up to Dusart's floor, which lies before the flip p_{x+1}
-        store.fill(min(int(p_lower(x + 1)), limit))
-    while store.n < limit and _steps(store.pre[store.n], x):  # A(n, x) = 1: the flip lies past n
-        store.fill(min(store.n + x + 1 - int(store.pre[store.n]), limit))  # at or before the flip
-    hi = min(limit, store.n)
+    ind = _fill(variant, min(int(p_lower(x + 1)), limit) if x >= 5 else 1)  # Dusart's floor < flip
+    while ind.size <= limit and _steps(s := int(ind.sum(dtype=np.int64)), x):  # A(n, x) = 1
+        ind = _fill(variant, min(ind.size + x - s, limit))  # n + x + 1 - S(n) <= the flip
+    hi = min(limit, ind.size - 1)
     if mode is EvalMode.NAIVE:
-        prefix = np.array([store.ind[2 : i + 1].sum() for i in range(1, hi + 1)])
+        prefix = np.array([ind[2 : i + 1].sum(dtype=np.int64) for i in range(1, hi + 1)])
     else:
-        prefix = store.pre[1 : hi + 1]
+        prefix = np.cumsum(ind[1 : hi + 1], dtype=np.int64)
     return _fold(prefix, x)[0]  # every term past the flip is 0
 
 
@@ -106,9 +104,8 @@ def trace(x: int, schedule: Schedule = Schedule.LINLOG) -> TraceRecord:
     x = as_nat(x, "x")
     limit = schedule_limit(schedule, x)
     admit(closed_form_incremental(max(limit, 2)), f"tracing x = {x} to U = {limit}")
-    store = _STORES[IndicatorVariant.GCD]
-    store.fill(limit)
-    ind, prefix = store.ind[1 : limit + 1].copy(), store.pre[1 : limit + 1].copy()  # not views
+    ind = _fill(IndicatorVariant.GCD, limit)[1 : limit + 1].copy()  # not a view of the store
+    prefix = np.cumsum(ind, dtype=np.int64)
     result, a = _fold(prefix, x)
     return TraceRecord(x, schedule, limit, ind, prefix, a, result)
 

@@ -26,6 +26,7 @@ from primefold import (
     core,
     delta,
     divisor_hit,
+    evaluate,
     indicator,
     prefix_count,
     run_counted,
@@ -309,21 +310,37 @@ def test_indicator_past_the_store_scans_that_j_alone(variant):
     core._reset_stores()
     assert indicator(30_011, variant) == 1  # prime
     assert indicator(30_012, variant) == 0
-    assert core._STORES[variant].n == 1
+    assert core._STORES[variant].size - 1 == 1
 
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_store_fills_exactly_the_requested_prefix(variant):
     core._reset_stores()
-    store = core._STORES[variant]
     assert prefix_count(1_000, variant) == 168
-    assert store.n == 1_000
-    assert prefix_count(500, variant) == 95 and store.n == 1_000
-    store.fill(1_001)  # one j past the store
-    assert store.n == 1_001
-    expected = [1 if is_prime_trial(j) else 0 for j in range(2, store.n + 1)]
-    assert store.ind[2 : store.n + 1].tolist() == expected
-    assert store.pre[1 : store.n + 1].tolist() == [0, *itertools.accumulate(expected)]
+    assert core._STORES[variant].size - 1 == 1_000
+    assert prefix_count(500, variant) == 95 and core._STORES[variant].size - 1 == 1_000
+    ind = core._fill(variant, 1_001)  # one j past the store
+    assert ind is core._STORES[variant] and ind.dtype == np.int8 and ind.size - 1 == 1_001
+    expected = [1 if is_prime_trial(j) else 0 for j in range(2, 1_002)]
+    assert ind.tolist() == [0, 0, *expected]
+    counts = [prefix_count(i, variant) for i in range(1, 1_002)]
+    assert counts == [0, *itertools.accumulate(expected)]
+    assert core._STORES[variant] is ind  # no read past n fills
+
+
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_a_fill_replaces_the_store_and_never_writes_an_array(variant):
+    core._reset_stores()
+    held = core._fill(variant, 100)
+    kept = held.copy()
+    core._fill(variant, 150)
+    prefix_count(200, variant)
+    n = core._STORES[variant].size - 1
+    indicator(n + 1, variant)  # the next j fills the store
+    assert core._STORES[variant].size - 1 == n + 1
+    assert evaluate(100, variant=variant) == 547  # grows the store from n + 2 to the flip
+    assert core._STORES[variant].size - 1 == 547
+    assert held.size == kept.size and held.tolist() == kept.tolist()
 
 
 def _no_scan(*args, **kwargs):

@@ -77,7 +77,7 @@ def test_evaluate_scans_exactly_to_the_flip(small_sieve, mode):
     core._reset_stores()
     p = small_sieve.nth_prime(101)
     assert evaluate(100, Schedule.SQUARE, mode) == p  # limit 101^2 = 10201
-    assert core._STORES[IndicatorVariant.GCD].n == p
+    assert core._STORES[IndicatorVariant.GCD].size - 1 == p
 
 
 def record_scans(monkeypatch, kernel_variant=None):
@@ -143,7 +143,7 @@ def test_cold_evaluate_makes_the_derived_scans(
     p, limit = small_sieve.nth_prime(x + 1), schedule_limit(schedule, x)
     assert evaluate(x, schedule, mode, variant) == p
     assert calls == derived_scans(x, limit, small_sieve)
-    n = core._STORES[variant].n
+    n = core._STORES[variant].size - 1
     assert n == min(p, limit)  # p itself unless the limit is p - 1 (sq at x = 0)
     assert scanned_tests(calls) == closed_form_incremental(max(n, 2))
 
@@ -157,12 +157,12 @@ def test_evaluate_grows_the_store_to_exactly_the_flip(big_sieve, variant, x, m):
         calls = record_scans(mp, kernel_variant=IndicatorVariant.DELTA)
         core._reset_stores()
         assert evaluate(x, variant=variant) == p
-        assert core._STORES[variant].n == p
+        assert core._STORES[variant].size - 1 == p
         assert scanned_tests(calls) == closed_form_incremental(p)
         core._reset_stores()
         prefix_count(m, variant)
         assert evaluate(x, variant=variant) == p
-        assert core._STORES[variant].n == max(m, p)
+        assert core._STORES[variant].size - 1 == max(m, p)
 
 
 @pytest.mark.parametrize("mode", MODES)
