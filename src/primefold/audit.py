@@ -5,24 +5,11 @@ store.  A naive run at U evaluates the scans I(2..i) of i = 1..U, an
 incremental one the scan of i = U.  Consecutive runs of one audit, naive or
 incremental, pool their scans into one k-major scan (`core._counted_scans`)
 by the kernel that fills the store, up to _BATCH elements; runs never share
-a scan.  The kernel returns the start s of every row it runs, and a row
-tests the elements [s, N), so the divisor tests are tallied from the rows
-that ran and the floors from the elements floored.
-Each run's tallies are built once, from what its scans and its fold returned.
-Every k-range reaches j-1 and the i-loop reaches the forced limit U.
-`AuditRow.match` requires all six tallies:
-
-    divisor tests:     (U-2)(U-1)U / 6 naive,  (U-2)(U-1) / 2 incremental
-    additions:         (U+1)^2 naive,          5U incremental
-    indicator floors:  U(U-1) / 2 naive,       U - 1 incremental
-    step floors:       2U; inner-test floors: the tests (gcd), 2x them (delta)
-
+a scan.  Each scan's divisor tests are tallied per j from the rows the kernel
+returns as run, and its floors from the elements floored.  A run's tallies
+and `AuditRow`'s closed-form prediction both come from `core.OpCounts.of`,
+which holds the tally conventions; `AuditRow.match` requires all six.
 `core.admit` checks the tests summed over a run's rows before the first scan.
-Tally conventions: one gcd call and one floor per gcd divisor test; one
-delta evaluation and two floors per gcd-free divisor test; the additions
-tally covers the fold's own + sites (indicator's 1+sum, prefix update,
-step's x+1 and 1+q, outer accumulation, final 1+sum) while the sum over
-k inside a divisor scan belongs to the divisor-test tally.
 """
 
 from __future__ import annotations
@@ -56,14 +43,9 @@ class AuditRow:
     match: bool = field(init=False)
 
     def __post_init__(self):
-        u, tests, naive = self.u, self.predicted_gcd, self.mode is EvalMode.NAIVE
-        gcd = self.variant is IndicatorVariant.GCD
-        predicted = OpCounts(
-            gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
-            inner_test_floors=tests if gcd else 2 * tests,
-            indicator_floors=u * (u - 1) // 2 if naive else u - 1,
-            step_floors=2 * u, additions=(u + 1) ** 2 if naive else 5 * u,
-        )
+        u, naive = self.u, self.mode is EvalMode.NAIVE
+        floors, additions = (u * (u - 1) // 2, (u + 1) ** 2) if naive else (u - 1, 5 * u)
+        predicted = OpCounts.of(self.variant, self.predicted_gcd, floors, additions, u)
         object.__setattr__(self, "match", self.measured == predicted)
 
     def to_dict(self) -> dict:
@@ -87,14 +69,9 @@ def _counted_fold(x: int, prefixes, variant: IndicatorVariant, tests: int, floor
     """(value, tallies) of a counted run: its scans ran `tests` divisor tests and `floors`
     indicator floors, its S(1..U) = `prefixes` took `resums` additions, and it folds them at x."""
     value, steps = _fold(prefixes, x)  # uint64 holds any x + 1
-    gcd, u = variant is IndicatorVariant.GCD, steps.size
-    return value, OpCounts(
-        gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
-        inner_test_floors=tests if gcd else 2 * tests, indicator_floors=floors,
-        step_floors=2 * u,  # two floors per step
-        # each I's 1 + sum, the S's, each step's x+1 and 1+q, the outer sum's U + and its 1 + sum
-        additions=floors + resums + 3 * u + 1,
-    )
+    # each I's 1 + sum, the S's, each step's x+1 and 1+q, the outer sum's U + and its 1 + sum
+    return value, OpCounts.of(variant, tests, floors, floors + resums + 3 * steps.size + 1,
+                              steps.size)
 
 
 def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,

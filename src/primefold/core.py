@@ -28,8 +28,9 @@ j past i.  S is the int64 running sum each reader takes of the I's it reads.
 A counted run reads no store: its scans of I(2..i) are part of one
 `_counted_scans` call, one k-major scan over each j once per scan that
 reaches it, which consecutive runs of one audit share.  `_k_major` returns
-the start s of every row that ran with its hits, and a row from s tests the
-elements [s, N), so each test tallied is one that ran.  Only a delta scan
+the start s of every row that ran, which tests every element of each
+j >= js[s], so a scan's tests are the rows that ran summed over its j's, and
+`OpCounts.of` makes a run's six tallies of them.  Only a delta scan
 allocates the j - 1 vector and the second scratch row.
 `_fold` is the one fold of S(1..U) into f, for every caller.
 Entry points, store fills and single-j scans first pass their count of
@@ -105,7 +106,19 @@ def admit(tests: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class OpCounts:
-    """The tallies of one counted run (conventions: the audit module)."""
+    """The tallies of one counted run at U, measured or predicted: `of` builds both.
+
+    A gcd divisor test is one gcd call and one floor, a gcd-free one a delta evaluation and
+    two floors, and a step two floors.  The additions are the fold's own + sites (each I's
+    1+sum, the S updates, each step's x+1 and 1+q, the outer sum and its final 1+sum); the
+    sum over k inside a scan belongs to the divisor tests.  Every k-range reaches j-1 and
+    the i-loop reaches the forced limit U, so a run at U predicts:
+
+        divisor tests:     (U-2)(U-1)U / 6 naive,  (U-2)(U-1) / 2 incremental
+        additions:         (U+1)^2 naive,          5U incremental
+        indicator floors:  U(U-1) / 2 naive,       U - 1 incremental
+        step floors:       2U; inner-test floors: the tests (gcd), 2x them (delta)
+    """
 
     gcd_calls: int = 0
     delta_calls: int = 0
@@ -113,6 +126,15 @@ class OpCounts:
     indicator_floors: int = 0
     step_floors: int = 0
     additions: int = 0
+
+    @classmethod
+    def of(cls, variant: IndicatorVariant, tests: int, indicator_floors: int, additions: int,
+           u: int) -> "OpCounts":
+        """The tallies of a run at U = `u` whose `tests` divisor tests were of `variant`."""
+        gcd = variant is IndicatorVariant.GCD
+        return cls(gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
+                   inner_test_floors=tests if gcd else 2 * tests,
+                   indicator_floors=indicator_floors, step_floors=2 * u, additions=additions)
 
     @property
     def divisor_tests(self) -> int:
@@ -206,19 +228,18 @@ def _counted_scans(ends, variant: IndicatorVariant):
     Its vector holds each j = 2..max(ends) once per scan that reaches it, j-major, so row k
     tests each scan's own (k, j) pairs; no row reaches j = 2, so I(2) = 1 // (1 + 0).
     Returns the I's as a table (row r for ends[r], column j, 0 past i) and, per scan, its
-    divisor tests and indicator floors.  A row from start s tests the elements [s, N), so the
-    tests come from the starts of the rows that ran, and the floors from the elements floored.
+    divisor tests and indicator floors.  A row that ran from start s tests the elements
+    [s, N): every element of each j >= js[s], so a scan's tests are the rows that ran summed
+    over its j's, and its floors are the elements floored.
     """
     j = np.arange(int(ends.max()) + 1, dtype=np.uint32)[:, None]
     holds = (j >= 2) & (j <= ends)  # [j, scan]
-    hits, ran = _k_major(np.broadcast_to(j, holds.shape)[holds], variant)  # j-major: ascending
-    ind, tests = np.zeros(holds.shape, np.uint8), np.zeros(holds.shape, np.uint32)
+    js = np.broadcast_to(j, holds.shape)[holds]  # j-major: ascending
+    hits, ran = _k_major(js, variant)
+    ind = np.zeros(holds.shape, np.uint8)
     ind[holds] = np.floor_divide(1, np.add(hits, 1, out=hits), out=hits)
-    tested = hits  # reused, zeroed: the rows that tested each element, those from s <= it
-    tested[:] = 0
-    np.add.at(tested, np.array(ran, np.intp), 1)
-    tests[holds] = np.cumsum(tested, dtype=np.uint32, out=tested)
-    return ind.T, tests.sum(axis=0, dtype=np.int64), holds.sum(axis=0)
+    rows = np.cumsum(np.bincount(js[np.array(ran, np.intp)], minlength=j.size))  # per j
+    return ind.T, np.cumsum(rows)[ends], holds.sum(axis=0)  # tests: rows summed over j <= i
 
 
 _STORES: Dict[IndicatorVariant, np.ndarray] = {}

@@ -321,6 +321,44 @@ def test_batched_rescans_equal_one_scan_per_rescan(variant):
         assert floors.tolist() == [len(ind) for ind, _ in reference[:u]]
 
 
+# scan ends out of order and repeated: each scan still gets its own I's and tests
+UNSORTED = [5, 1, 9, 9, 2, 30, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_counted_scans_of_unsorted_ends_equal_one_scan_at_a_time(monkeypatch, variant, workers):
+    reference = one_scan_at_a_time(variant, UNSORTED)
+    monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
+    table, tests, floors = core._counted_scans(np.array(UNSORTED, np.uint32), variant)
+    for row, i, (ind, _) in zip(table, UNSORTED, reference):
+        assert row.tolist() == [0, 0, *ind, *[0] * (max(UNSORTED) - i)]
+    assert tests.tolist() == [tested for _, tested in reference]
+    assert floors.tolist() == [len(ind) for ind, _ in reference]
+
+
+@pytest.mark.parametrize("ends", [UNSORTED, list(range(1, 41))])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+def test_counted_tests_come_from_the_rows_that_ran(monkeypatch, variant, ends):
+    ends = np.array(ends, np.uint32)
+    table, tests, floors = core._counted_scans(ends, variant)
+    k_major = core._k_major
+    for k in (2, 3, 17, int(ends.max()) - 1):
+
+        def dropping(js, v, k=k):  # row k ran, but its start is missing from `ran`
+            hits, ran = k_major(js, v)
+            ran.remove(int(np.searchsorted(js, k, "right")))  # row k starts at its first j > k
+            return hits, ran
+
+        monkeypatch.setattr(core, "_k_major", dropping)
+        dropped = core._counted_scans(ends, variant)
+        assert dropped[0].tolist() == table.tolist()  # the I's still hold row k's hits
+        fewer = [max(i - k, 0) for i in ends.tolist()]  # in scan i, row k tests the j in (k, i]
+        assert dropped[1].tolist() == [t - f for t, f in zip(tests.tolist(), fewer)]
+        assert dropped[2].tolist() == floors.tolist()
+
+
 def one_naive_run_at_a_time(variant, us, xs):
     """(value, tallies) of each naive run at U with x, from its own scans of I(2..i), i = 1..U,
     and a fold in Python; every tally is counted from the elements it covers."""

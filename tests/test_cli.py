@@ -436,6 +436,20 @@ def test_verify_with_asserts_stripped_matches_its_golden_file():
     assert run.stdout == (GOLDEN_DIR / "verify_max300.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (("audit", "--u-min", "2", "--u-max", "80"), "audit_umax80.json"),
+    (("audit", "--u-min", "2", "--u-max", "30", "--variant", "delta"), "audit_umax30_delta.json"),
+    (("validate", "--max", "2000"), "validate_max2000.json"),
+    (("compare", "--max", "800"), "compare_max800.json"),
+    (("trace", "40", "--schedule", "sq"), "trace40_sq.json"),
+])
+def test_sweeps_with_asserts_stripped_match_their_golden_files(argv, golden):
+    run = subprocess.run([sys.executable, "-O", "-m", "primefold", *argv, "--json"],
+                         env=CHILD_ENV, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
 # an intermediate interpreter reports the peak RSS of its one child alone
 PEAK_RSS_PROBE = """
 import resource, subprocess, sys
@@ -452,6 +466,27 @@ def test_a_million_under_asserts_stripped_peaks_within_80_mb(command):
     code, peak_kib = map(int, probe.stdout.split())
     assert code == 0
     assert peak_kib / 1024 <= 80
+
+
+# U = 2000 stops short of the flip p_304 = 2003, so all 2000 steps are 1 and the value is 2001
+LARGEST_NAIVE_RUN = """
+import sys
+from primefold import EvalMode, IndicatorVariant, run_counted
+sys.exit(run_counted(303, 2000, EvalMode.NAIVE, IndicatorVariant.DELTA)[0] != 2001)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    (sys.executable, "-c", LARGEST_NAIVE_RUN),
+    ("timeout", "60", sys.executable, "-m", "primefold", "audit", "--u-min", "2", "--u-max", "422",
+     "--variant", "delta", "--json"),  # timeout exits 124 past 60 s
+])
+def test_the_largest_counted_runs_peak_within_96_mb(argv):
+    probe = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=CHILD_ENV,
+                           capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 <= 96
 
 
 def test_in_process_runs_and_the_import_freeze_nothing(capsys):
