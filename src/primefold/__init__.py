@@ -12,8 +12,6 @@ from .analysis import (
     SignatureFamily,
     SignatureVector,
     check_forward_count_axiom,
-    check_minimality,
-    check_schedule_divergence,
     check_signature_separation,
     signature,
 )
@@ -41,6 +39,8 @@ from .reports import BoundsReport
 from .schedules import (
     Schedule,
     check_lin_growth_bound,
+    check_minimality,
+    check_schedule_divergence,
     schedule_limit,
     square_schedule_base_cases,
     u_lin,

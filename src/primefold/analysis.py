@@ -1,32 +1,26 @@
-"""Non-synonymy and minimality checks at desk scale.
+"""Non-synonymy and forward-count conformance checks at desk scale.
 
-Fixed six-bit operator-palette fingerprints and schedule growth separate three
-enumerator families: the Willans limit 2^(x+1) outgrows u_lin, tested as strict
-growth of r(x) = (x+1) ln 2 - ln u_lin(x) plus a concrete gap.  The lower bound
-U(x) >= p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1 (x >= 5) of any
-forward-count enumerator is checked against the sieve.  Both checks sweep x in
-the blocks of schedules' grid, and the axiom is checked against each trace's
-step array.  A float margin within 4 ulps of its bound counts as a violation.
+Fixed six-bit operator-palette fingerprints separate three enumerator
+families, and the forward-count axiom is checked against each trace's step
+array.  The schedule sweeps over x that complete the separation and
+minimality claims (the Willans limit outgrowing u_lin, and the Omega(x log x)
+lower bound of any forward-count enumerator) live in schedules.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 from .core import prefix_count
 from .enumerator import trace
 from .nat import DomainError, RangeError, as_nat
 from .oracle import SieveTable, sieve_for_nth  # perfbench/traced.py wraps it here by name
 from .reports import BoundsReport
-from .schedules import Schedule, _blocks, _Claim, _lin_bound, _lin_limits, _log, p_lower, u_lin
+from .schedules import Schedule, u_lin
 
 FORWARD_AXIOM_X_MAX = 200  # trace-backed check; keep the row volume bounded
-DIVERGENCE_X_MIN = 10  # r(x) is swept from here on
 
 
 class SignatureFamily(enum.Enum):
@@ -80,55 +74,6 @@ def check_signature_separation() -> BoundsReport:
         if a_bit and w_bit:
             violations.append((c, float(a_bit), float(w_bit)))
     return BoundsReport("operator-signature-separation", (0, 2), tuple(violations))
-
-
-def _log_ratios(xs):
-    """r(x) = (x+1) ln 2 - ln u_lin(x) for each x of a block."""
-    return (xs + 1) * math.log(2.0) - _log(_lin_limits(_lin_bound(xs)))
-
-
-def check_schedule_divergence(x_max: int) -> BoundsReport:
-    """r(x) = (x+1) ln 2 - ln u_lin(x) strictly increases for x >= 10.
-
-    A finite sweep cannot certify a limit, so divergence is operationalized
-    as strict monotonicity on [10, x_max] plus r(x_max) > r(10) + 10 once
-    x_max >= 60.  min_slack is the smallest consecutive increase.
-    """
-    x_max = as_nat(x_max, "x_max")
-    if x_max < DIVERGENCE_X_MIN:
-        raise DomainError(f"check_schedule_divergence requires x_max >= 10, got {x_max}")
-    claim = _Claim("schedule-log-ratio-divergence", 1, x_max)
-    r = _log_ratios(np.array([DIVERGENCE_X_MIN]))
-    r10 = float(r[0])
-    for xs in _blocks(DIVERGENCE_X_MIN + 1, x_max):
-        r = np.concatenate((r[-1:], _log_ratios(xs)))  # carries the previous block's last r(x)
-        gap = np.diff(r)
-        claim.add(xs, r[1:], r[:-1], gap, gap <= 4 * np.spacing(r[:-1]))
-    if x_max >= 60 and r[-1] - (r10 + 10.0) <= 4 * math.ulp(r10 + 10.0):
-        claim.rows.append((x_max, float(r[-1]), r10 + 10.0))
-    return claim.report()
-
-
-def check_minimality(x_max: int, table: SieveTable) -> BoundsReport:
-    """Both links of the schedule lower-bound chain on [5, x_max].
-
-    For each x: p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1, then
-    u_lin(x) >= p_{x+1} - 1, each x's rows in that order.  min_slack is the
-    smallest relative margin of the first (real-valued) link.
-    """
-    x_max = as_nat(x_max, "x_max")
-    if x_max < 5:
-        raise DomainError(f"check_minimality requires x_max >= 5, got {x_max}")
-    primes = table.first(x_max + 1)
-    claim = _Claim("schedule-minimality-chain", 5, x_max)
-    for xs in _blocks(5, x_max):
-        need = primes[xs[0] : xs[-1] + 1] - 1
-        lower = p_lower(xs + 1) - 1.0
-        limits = _lin_limits(_lin_bound(xs))
-        margin = need - lower
-        claim.add(np.repeat(xs, 2), np.ravel((need, limits), "F"), np.ravel((lower, need), "F"),
-                  margin / lower, np.ravel((margin <= 4 * np.spacing(lower), limits < need), "F"))
-    return claim.report()
 
 
 def check_forward_count_axiom(x_max: int, table: SieveTable) -> BoundsReport:

@@ -13,15 +13,17 @@ admits `evaluate` only for x <= 4,853 and its count never decreases in x
 (tested to 10^6), so validate_schedule's sieve check of u_lin on [0, 10^4]
 covers every admitted x; a sieve test holds Dusart's p_lower there too.
 
-The sweeps here and analysis' minimality and divergence checks run over one
-grid of _BLOCK x's, so no array grows with x_max.  validate_schedules is the
-one float sweep: it takes each x's two logarithms once and builds the square,
-lin and real-bound reports together; validate_schedule and
-check_lin_growth_bound each return one of them.  The Willans rows are an exact
-integer loop over the same grid.  The float sweep takes math.log of each
-element: numpy's SIMD log may differ in the last ulp between builds and move a
-ceiling.  A float margin within 4 ulps of its bound counts as a violation, not
-as proof.
+Every sweep over x lives here and runs over one grid of _BLOCK x's, so no
+array grows with x_max.  _lin_blocks is the one block source of u_lin: it
+yields each block with its real bound and its u_lin.  validate_schedules takes
+each x's two logarithms once and builds the square, lin and real-bound reports
+together; validate_schedule and check_lin_growth_bound each return one of
+them.  check_minimality checks the Omega(x log x) lower-bound chain of any
+forward-count enumerator, and check_schedule_divergence the growth of the
+Willans limit past u_lin.  The Willans rows are an exact integer loop over the
+same grid.  The float sweeps take math.log of each element: numpy's SIMD log
+may differ in the last ulp between builds and move a ceiling.  A float margin
+within 4 ulps of its bound counts as a violation, not as proof.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .nat import NAT_MAX, RangeError, as_nat, checked_add, checked_mul
+from .nat import NAT_MAX, DomainError, RangeError, as_nat, checked_add, checked_mul
 from .oracle import SieveTable
 from .reports import BoundsReport
 
 WILLANS_EXACT_MAX_X = 62  # 2^(x+1) fits a 64-bit natural iff x <= 62
 _BLOCK = 1 << 12  # x's per sweep block: no array of a sweep grows with x_max
+DIVERGENCE_X_MIN = 10  # r(x) is swept from here on
 
 
 class Schedule(enum.Enum):
@@ -63,11 +66,6 @@ def _lin_bound(x):
     """(x+1)(ln(x+e) + ln ln(x+e)) for a natural x, or for each x of an int64 array."""
     inner = _log(x + math.e)
     return (x + 1) * (inner + _log(inner))
-
-
-def _lin_limits(bound):
-    """u_lin of each x of a block, from the block's _lin_bound; every swept x fits int64."""
-    return np.ceil(bound).astype(np.int64) + 10
 
 
 def u_lin(x: int) -> int:
@@ -117,6 +115,14 @@ def _blocks(x_min: int, x_max: int):
         yield np.arange(max(lo, x_min), min(lo + _BLOCK, x_max + 1))
 
 
+def _lin_blocks(x_min: int, x_max: int):
+    """(xs, _lin_bound(xs), u_lin of each x) for each block of x in [x_min, x_max]; every
+    swept x's u_lin fits int64."""
+    for xs in _blocks(x_min, x_max):
+        bound = _lin_bound(xs)
+        yield xs, bound, np.ceil(bound).astype(np.int64) + 10
+
+
 class _Claim:
     """One claim's (x, lhs, rhs) violation rows and least slack, gathered block by block."""
 
@@ -137,17 +143,17 @@ class _Claim:
 
 def validate_schedules(x_max: int, table: SieveTable) -> List[BoundsReport]:
     """validate_schedule's SQUARE and LINLOG reports, then check_lin_growth_bound's, from one
-    pass over x in [0, x_max] in blocks of _BLOCK: one _lin_bound call per block."""
+    pass over x in [0, x_max] in the blocks of _lin_blocks."""
     x_max = as_nat(x_max, "x_max")
     primes = table.first(x_max + 1)
     square, lin = (_Claim(f"schedule-{kind.value}-covers-next-prime", 0, x_max)
                    for kind in (Schedule.SQUARE, Schedule.LINLOG))
     real = _Claim("lin-schedule-real-bound", 5, x_max)
-    for xs in _blocks(0, x_max):
-        p, bound = primes[xs[0] : xs[-1] + 1], _lin_bound(xs)
+    for xs, bound, lin_limits in _lin_blocks(0, x_max):
+        p = primes[xs[0] : xs[-1] + 1]
         need = p - 1
         # x_max < pi(SIEVE_LIMIT_MAX) < 6e6, so int64 holds (x+1)^2
-        for claim, limits in ((square, (xs + 1) ** 2), (lin, _lin_limits(bound))):
+        for claim, limits in ((square, (xs + 1) ** 2), (lin, lin_limits)):
             slack = limits - need
             claim.add(xs, limits, need, slack, slack < 0)
         g = slice(max(5 - xs[0], 0), None)  # the real bound is claimed from x = 5
@@ -195,3 +201,52 @@ def check_lin_growth_bound(x_max: int, table: SieveTable) -> BoundsReport:
     if x_max < 5:  # an empty range reads no table
         return BoundsReport("lin-schedule-real-bound", (5, x_max))
     return validate_schedules(x_max, table)[2]
+
+
+def _log_ratios(xs, limits):
+    """r(x) = (x+1) ln 2 - ln u_lin(x) for each x of a block, from the block's u_lin."""
+    return (xs + 1) * math.log(2.0) - _log(limits)
+
+
+def check_schedule_divergence(x_max: int) -> BoundsReport:
+    """r(x) = (x+1) ln 2 - ln u_lin(x) strictly increases for x >= 10.
+
+    A finite sweep cannot certify a limit, so divergence is operationalized
+    as strict monotonicity on [10, x_max] plus r(x_max) > r(10) + 10 once
+    x_max >= 60.  min_slack is the smallest consecutive increase.
+    """
+    x_max = as_nat(x_max, "x_max")
+    if x_max < DIVERGENCE_X_MIN:
+        raise DomainError(f"check_schedule_divergence requires x_max >= 10, got {x_max}")
+    claim = _Claim("schedule-log-ratio-divergence", 1, x_max)
+    r10, r = None, np.empty(0)
+    for xs, _, limits in _lin_blocks(DIVERGENCE_X_MIN, x_max):
+        r = np.concatenate((r[-1:], _log_ratios(xs, limits)))  # with the last block's last r(x)
+        if r10 is None:  # the first block starts at x = 10: r(10) has no gap of its own
+            r10, xs = float(r[0]), xs[1:]
+        gap = np.diff(r)
+        claim.add(xs, r[1:], r[:-1], gap, gap <= 4 * np.spacing(r[:-1]))
+    if x_max >= 60 and r[-1] - (r10 + 10.0) <= 4 * math.ulp(r10 + 10.0):
+        claim.rows.append((x_max, float(r[-1]), r10 + 10.0))
+    return claim.report()
+
+
+def check_minimality(x_max: int, table: SieveTable) -> BoundsReport:
+    """Both links of the schedule lower-bound chain on [5, x_max].
+
+    For each x: p_{x+1} - 1 >= (x+1)(ln(x+1) + ln ln(x+1) - 1) - 1, then
+    u_lin(x) >= p_{x+1} - 1, each x's rows in that order.  min_slack is the
+    smallest relative margin of the first (real-valued) link.
+    """
+    x_max = as_nat(x_max, "x_max")
+    if x_max < 5:
+        raise DomainError(f"check_minimality requires x_max >= 5, got {x_max}")
+    primes = table.first(x_max + 1)
+    claim = _Claim("schedule-minimality-chain", 5, x_max)
+    for xs, _, limits in _lin_blocks(5, x_max):
+        need = primes[xs[0] : xs[-1] + 1] - 1
+        lower = p_lower(xs + 1) - 1.0
+        margin = need - lower
+        claim.add(np.repeat(xs, 2), np.ravel((need, limits), "F"), np.ravel((lower, need), "F"),
+                  margin / lower, np.ravel((margin <= 4 * np.spacing(lower), limits < need), "F"))
+    return claim.report()

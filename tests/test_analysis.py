@@ -23,8 +23,8 @@ from primefold import (
     signature,
     u_lin,
 )
-from primefold import analysis, core
-from primefold.analysis import DIVERGENCE_X_MIN
+from primefold import analysis, core, schedules
+from primefold.schedules import DIVERGENCE_X_MIN
 
 
 def log_ratio(x):
@@ -70,17 +70,17 @@ def loop_minimality(x_max, table, lowers):
 
 
 def doctor(monkeypatch, name, values):
-    """Replace analysis.<name>, a function of a block of keys, by one that returns values[key]
-    at each key of `values`."""
-    real = getattr(analysis, name)
+    """Replace schedules.<name>, a function of a block of keys (and of any further arrays), by
+    one that returns values[key] at each key of `values`."""
+    real = getattr(schedules, name)
 
-    def doctored(keys):
-        out = real(keys)
+    def doctored(keys, *rest):
+        out = real(keys, *rest)
         for key, value in values.items():
             out[keys == key] = value
         return out
 
-    monkeypatch.setattr(analysis, name, doctored)
+    monkeypatch.setattr(schedules, name, doctored)
 
 
 def test_signature_constants():
@@ -220,8 +220,8 @@ def test_schedule_divergence_streams_its_log_ratios():
 
 def test_minimality_reads_the_last_prime_of_its_table_and_no_further(monkeypatch):
     table = build_sieve(50)  # 15 primes
-    real, blocks = analysis._lin_bound, []
-    monkeypatch.setattr(analysis, "_lin_bound", lambda xs: blocks.append(xs.size) or real(xs))
+    real, blocks = schedules._lin_bound, []
+    monkeypatch.setattr(schedules, "_lin_bound", lambda xs: blocks.append(xs.size) or real(xs))
     with pytest.raises(RangeError):  # p_16 is past the table: a slice would drop it silently
         check_minimality(table.prime_count, table)
     assert blocks == []

@@ -291,7 +291,29 @@ def test_verify_violation_exits_1(monkeypatch, capsys):
     assert code == 1
     assert doc["status"] == "violation"
     failed = [r["claim_id"] for r in doc["outputs"]["reports"] if not r["passed"]]
-    assert failed == ["enumerator-matches-sieve"]
+    # the record-lift report reads the same f(L) = 4, a composite, at every L
+    assert failed == ["enumerator-matches-sieve", "record-lift-exceeds-input"]
+
+
+def test_verify_reports_a_failed_record_lift_as_a_row(monkeypatch, capsys):
+    # a wrong f(3) = 9 is neither prime nor lifted past a sieve check: the document still prints
+    import primefold.cli as cli
+    import primefold.enumerator as enumerator
+
+    real = enumerator.evaluate
+
+    def doctored(x, *args, **kwargs):
+        return 9 if x == 3 else real(x, *args, **kwargs)
+
+    for module in (cli, enumerator):
+        monkeypatch.setattr(module, "evaluate", doctored)
+    code, out, _ = run_cli(capsys, "verify", "--max", "10", "--sweep-max", "5", "--audit-max", "3",
+                           "--json")
+    doc = json.loads(out)
+    assert (code, doc["status"]) == (1, "violation")
+    failed = {r["claim_id"]: r["violations"] for r in doc["outputs"]["reports"] if not r["passed"]}
+    assert failed["record-lift-exceeds-input"] == [[3, 9.0, 3.0]]
+    assert sorted(failed) == ["enumerator-matches-sieve", "record-lift-exceeds-input"]
 
 
 @pytest.mark.parametrize("flags", [

@@ -313,9 +313,9 @@ def test_block_edge_doctorings_land_where_they_are_aimed(big_sieve):
     assert 1 <= reports[2].min_slack < 2 < check_lin_growth_bound(2 * B - 2, big_sieve).min_slack
 
 
-def test_validate_reports_take_two_logarithms_per_x(monkeypatch, big_sieve):
-    from primefold import cli
-
+def count_logs(monkeypatch):
+    """The list to which schedules._log, from here on, appends the count of each call's
+    logarithms."""
     real, taken = schedules._log, []
 
     def counting(v):
@@ -323,10 +323,30 @@ def test_validate_reports_take_two_logarithms_per_x(monkeypatch, big_sieve):
         return real(v)
 
     monkeypatch.setattr(schedules, "_log", counting)
+    return taken
+
+
+def test_validate_reports_take_two_logarithms_per_x(monkeypatch, big_sieve):
+    from primefold import cli
+
+    taken = count_logs(monkeypatch)
     for n in (0, 5, B - 1, B, 10_000):
         taken.clear()
         cli._validate_reports(n, big_sieve)
         assert sum(taken) == 2 * (n + 1)
+
+
+def test_compare_sweeps_take_four_and_three_logarithms_per_x(monkeypatch, big_sieve):
+    # minimality: u_lin's two and p_lower's two from x = 5; divergence: u_lin's two and
+    # ln u_lin(x) from x = 10
+    taken = count_logs(monkeypatch)
+    for n in (10, 11, B - 1, B, 10_000):
+        taken.clear()
+        schedules.check_minimality(n, big_sieve)
+        assert sum(taken) == 4 * (n - 4)
+        taken.clear()
+        schedules.check_schedule_divergence(n)
+        assert sum(taken) == 3 * (n - 9)
 
 
 def test_sweep_memory_does_not_grow_with_x_max():
