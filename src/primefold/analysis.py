@@ -10,8 +10,7 @@ lower bound of any forward-count enumerator) live in schedules.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .core import prefix_count
 from .enumerator import trace
@@ -29,14 +28,20 @@ class SignatureFamily(enum.Enum):
     MILLS = "mills"
 
 
-@dataclass(frozen=True)
-class SignatureVector:
-    family: SignatureFamily
-    coords: Tuple[int, int, int, int, int, int]
+_Signature = NamedTuple("_Signature", [("family", SignatureFamily), ("coords", Tuple[int, ...])])
 
-    def __post_init__(self):
-        if len(self.coords) != 6 or any(c not in (0, 1) for c in self.coords):
-            raise DomainError(f"signature coords must be six bits, got {self.coords}")
+
+class SignatureVector(_Signature):
+    __slots__ = ()
+
+    def __new__(cls, family: SignatureFamily, coords: Tuple[int, ...]):
+        if len(coords) != 6 or any(c not in (0, 1) for c in coords):
+            raise DomainError(f"signature coords must be six bits, got {coords}")
+        return super().__new__(cls, family, coords)
+
+    @classmethod
+    def _make(cls, iterable):  # so `_replace` checks its coords too
+        return cls(*iterable)
 
     def packed(self) -> int:
         value = 0

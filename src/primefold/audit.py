@@ -14,9 +14,8 @@ which holds the tally conventions; `AuditRow.match` requires all six.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .oracle import build_sieve
 _BATCH = 1 << 16
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     """One (U, mode) audit: measured tallies vs. the predicted closed form."""
 
     u: int
@@ -40,13 +38,12 @@ class AuditRow:
     variant: IndicatorVariant
     measured: OpCounts
     predicted_gcd: int
-    match: bool = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def match(self) -> bool:
         u, naive = self.u, self.mode is EvalMode.NAIVE
         floors, additions = (u * (u - 1) // 2, (u + 1) ** 2) if naive else (u - 1, 5 * u)
-        predicted = OpCounts.of(self.variant, self.predicted_gcd, floors, additions, u)
-        object.__setattr__(self, "match", self.measured == predicted)
+        return self.measured == OpCounts.of(self.variant, self.predicted_gcd, floors, additions, u)
 
     def to_dict(self) -> dict:
         return {"u": self.u, "mode": self.mode.value, "variant": self.variant.value,

@@ -42,9 +42,8 @@ from __future__ import annotations
 import enum
 import os
 import threading
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -104,8 +103,7 @@ def admit(tests: int, what: str) -> None:
         raise RangeError(f"{what} predicts {tests} divisor tests (budget {MAX_DIVISOR_TESTS})")
 
 
-@dataclass(frozen=True)
-class OpCounts:
+class OpCounts(NamedTuple):
     """The tallies of one counted run at U, measured or predicted: `of` builds both.
 
     A gcd divisor test is one gcd call and one floor, a gcd-free one a delta evaluation and
@@ -141,7 +139,7 @@ class OpCounts:
         return self.gcd_calls + self.delta_calls
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the six tallies, in field order
+        return self._asdict()  # the six tallies, in field order
 
 
 def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant):
@@ -194,7 +192,8 @@ def _k_major(js, variant: IndicatorVariant):
             for k, s in zip(ks[i::w], starts[i::w]):
                 if stop.is_set():
                     return
-                acc[s:] += _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant)
+                acc_s = acc[s:]
+                np.add(acc_s, _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant), out=acc_s)
                 ran.append(s)
         except BaseException as exc:  # the caller re-raises it, so no row is silently lost
             errors.append(exc)

@@ -21,7 +21,6 @@ then runs over i in [1, min(U, n)].  The modes differ only in S(i):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -44,17 +43,17 @@ class TraceRow(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True, eq=False)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-i breakdown of one enumerator run: I(i), S(i) and A(i, x) as arrays over i = 1..limit."""
 
     x: int
     schedule_used: Schedule
     limit: int
-    indicators: np.ndarray = field(repr=False)
-    prefix: np.ndarray = field(repr=False)
-    steps: np.ndarray = field(repr=False)
+    indicators: np.ndarray
+    prefix: np.ndarray
+    steps: np.ndarray
     result: int
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # by identity
 
     @property
     def rows(self) -> Tuple[TraceRow, ...]:

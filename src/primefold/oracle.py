@@ -8,7 +8,7 @@ are cross-validated against each other in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,12 +17,12 @@ from .nat import DomainError, RangeError, as_nat
 SIEVE_LIMIT_MAX = 10**8
 
 
-@dataclass(frozen=True, eq=False)
-class SieveTable:
+class SieveTable(NamedTuple):
     """Immutable sieve over [0, limit], held as its primes; shareable across threads."""
 
     limit: int
-    prime_list: np.ndarray = field(repr=False)
+    prime_list: np.ndarray
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # by identity
 
     @property
     def prime_count(self) -> int:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 Violation = Tuple[int, float, float]  # (x, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Outcome of checking one claim over an x-range.
 
     `violations` holds (x, lhs, rhs) rows where the claimed relation failed;

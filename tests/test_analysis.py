@@ -1,6 +1,5 @@
 """Signature separation, schedule divergence, minimality, axiom conformance."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -177,7 +176,7 @@ def test_forward_count_axiom_reports_each_kind_of_bad_trace(monkeypatch, small_s
             steps[-1] = 1  # rises again after the flip at p_3 = 5
         elif x == 3:
             steps[5] = 0  # flips at i = 6, before p_4 = 7
-        return dataclasses.replace(record, steps=steps)
+        return record._replace(steps=steps)
 
     monkeypatch.setattr(analysis, "trace", doctored)
     report = check_forward_count_axiom(10, small_sieve)

@@ -480,7 +480,7 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)  # KiB on Li
 """
 
 
-@pytest.mark.parametrize("command", ["validate", "compare"])
+@pytest.mark.parametrize("command", ["validate", "compare", "verify"])
 def test_a_million_under_asserts_stripped_peaks_within_80_mb(command):
     argv = (sys.executable, "-O", "-m", "primefold", command, "--max", "1000000", "--json")
     probe = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], env=CHILD_ENV,

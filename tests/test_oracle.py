@@ -1,6 +1,5 @@
 """Sieve oracle tests, including the cross-validation against the indicator."""
 
-import dataclasses
 import math
 from itertools import accumulate
 
@@ -125,4 +124,4 @@ def test_pi_equals_the_running_count_of_trial_division_on_the_whole_table(small_
     assert [t.pi(m) for m in range(t.limit + 1)] == list(running)
     assert t.pi(t.limit) == t.prime_count and t.pi(0) == 0
     # the table is its prime list; no per-integer array is kept
-    assert [f.name for f in dataclasses.fields(SieveTable)] == ["limit", "prime_list"]
+    assert SieveTable._fields == ("limit", "prime_list")

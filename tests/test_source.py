@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import primefold
@@ -53,3 +56,10 @@ def test_every_name_the_benchmark_harness_wraps_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert traced.WRAP_POINTS["primefold.cli"] and missing == []
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # the records are NamedTuples, so no module of the package generates methods at import
+    code = "import sys, primefold.cli; sys.exit('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
