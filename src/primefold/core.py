@@ -14,13 +14,14 @@ inner sum counts proper divisors and I(j) = 1 iff j is prime.
 
 One numpy k-scan kernel evaluates every divisor test, in one of two layouts.
 A wide slice (max(lo, 3) <= hi // 2) runs k-major (`_k_major`): one row per k
-with the j's as a uint32 vector, so each numpy call divides by one scalar.  A
-narrower one runs j-major: one row per j over k = 2, 3, ... in chunks of
-_CHUNK k's.  Any gcd k-major scan, counted or not, of at least _SPLIT_TESTS
-divisor tests deals its rows out over the _WORKERS usable CPUs, since np.gcd
+with the j's as a uint32 vector, consecutive rows in blocks of at most
+_BLOCK_ELEMENTS elements, so each numpy call divides a block by one scalar per
+row.  A narrower one runs j-major: one row per j over k = 2, 3, ... in chunks
+of _CHUNK k's.  Any gcd k-major scan, counted or not, of at least _SPLIT_TESTS
+divisor tests deals its blocks out over the _WORKERS usable CPUs, since np.gcd
 waits on one hardware division per Euclid step with the GIL released.  Every
 other scan runs on the caller's thread: threads cost a smaller one more than
-they save, and delta rows, a few microseconds each, would contend for the GIL.
+they save, and a delta scan is bound by memory traffic, not by the GIL.
 Uncounted runs read a per-variant store, one int8 array I(0..n) with
 I(0) = I(1) = 0: `_fill(variant, m)` scans exactly the j in (n, m] and
 replaces the array, never writing one in place, so `prefix_count(i)` scans no
@@ -39,6 +40,7 @@ divisor tests to `admit`, which raises a RangeError over MAX_DIVISOR_TESTS.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import os
 import threading
@@ -54,6 +56,12 @@ MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # usable CPUs: the threads of a gcd k-major scan
 _SPLIT_TESTS = 1 << 18  # divisor tests from which a gcd k-major scan runs on _WORKERS threads
+_BLOCK_ELEMENTS = 1 << 17  # elements of a k-major block of several rows: bounds its scratch
+_BLOCK_WIDTH = 1 << 13  # widest row in a k-major block of several; its corner is 1/8 of this
+# numpy's ufunc buffer while a k-major scan runs, in elements.  A 2-D call whose rows hold at
+# most a third of the buffer copies rows of its k column into it and so divides element by
+# element, about ten times slower than by one scalar per row; 16 keeps that to rows of 5.
+_UFUNC_BUFFER = 16
 
 
 class IndicatorVariant(enum.Enum):
@@ -142,14 +150,16 @@ class OpCounts(NamedTuple):
         return self._asdict()  # the six tallies, in field order
 
 
-def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant):
-    """The variant's divisor test of every (k, j) element into `a` (`b` is scratch).
+def _divisor_tests(ks, js, js1, a, b, variant: IndicatorVariant, where=True):
+    """The variant's divisor test of every (k, j) element `where` selects into `a` (`b` is
+    scratch); the elements it leaves out are neither evaluated nor written.
 
     `js1` is `js - 1`, which only the delta test reads; callers hoist it out of their rows.
     """
     if variant is IndicatorVariant.GCD:
-        return np.floor_divide(np.gcd(ks, js, out=a), ks, out=a)
-    return np.subtract(np.floor_divide(js, ks, out=a), np.floor_divide(js1, ks, out=b), out=a)
+        return np.floor_divide(np.gcd(ks, js, out=a, where=where), ks, out=a, where=where)
+    return np.subtract(np.floor_divide(js, ks, out=a, where=where),
+                       np.floor_divide(js1, ks, out=b, where=where), out=a, where=where)
 
 
 def _scan_hits(lo: int, hi: int, variant: IndicatorVariant):
@@ -168,46 +178,82 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant):
 def _k_major(js, variant: IndicatorVariant):
     """(hits, ran): the hits of each element of the ascending uint32 `js`, summed over rows
     k = 2..max(js)-1, each row over the suffix of elements past k, and the start of each row
-    that ran, in the order the rows finished.
+    that ran, in the order its block finished.
 
+    Consecutive rows make a block, and each block is one 2-D numpy call per ufunc: its k's
+    against its first row's suffix, whose column sums join the accumulator.  The columns
+    before its last row's start, its corner, hold some j <= k, so there a mask j > k selects
+    the elements each call evaluates; every (k, j) with k < j is evaluated exactly once, and
+    no other.  A row wider than _BLOCK_WIDTH elements is a block alone, since its calls cost
+    less than its elements; narrower rows form blocks of at most _BLOCK_ELEMENTS elements
+    whose corner spans at most _BLOCK_WIDTH / 8 columns, past which its masked elements cost
+    more than the calls it saves (a counted scan repeats each j once per scan).
     A gcd scan of at least _SPLIT_TESTS tests runs on w = _WORKERS threads, any other on w = 1.
-    Worker i adds rows k = 2+i, 2+i+w, ... into its own accumulator (worker 0 is the caller's
-    thread, which sums them) and appends each row's start to `ran` once it has run.
-    An error or interrupt in a worker stops all workers before their next row and reaches the caller.
+    Worker i adds blocks i, i+w, ... into its own accumulator (worker 0 is the caller's
+    thread, which sums them) and appends each block's row starts to `ran` once it has run.
+    An error or interrupt in a worker stops all workers before their next block and reaches
+    the caller.
     """
-    hi = int(js[-1]) if js.size else 2
-    ks = np.arange(2, hi, dtype=np.uint32)  # a Python int k would cost each numpy call a cast
+    n = js.size
+    ks = np.arange(2, int(js[-1]) if n else 2, dtype=np.uint32)  # a Python int k costs a cast
+    col = ks[:, None]  # the k's as a column, against which a block's j's broadcast
     starts = np.searchsorted(js, ks, "right").tolist()  # row k's first element
-    tests = js.size * ks.size - sum(starts)  # row k tests the elements [start, N)
+    tests = n * ks.size - sum(starts)  # row k tests the elements [start, n)
     gcd = variant is IndicatorVariant.GCD
     w = _WORKERS if gcd and tests >= _SPLIT_TESTS else 1
-    js1 = js if gcd else js - 1  # only the delta test reads js - 1 and the scratch row b
-    accs = np.zeros((w, js.size), np.uint32)
+    js1 = js if gcd else js - 1  # only the delta test reads js - 1 and the scratch b
+    # block r runs the rows [edges[r], edges[r + 1]): each row wider than _BLOCK_WIDTH alone,
+    # then as many narrower rows as _BLOCK_ELEMENTS holds that start within a corner's width
+    edges = list(range(bisect.bisect_left(starts, n - _BLOCK_WIDTH) + 1))
+    while edges[-1] < ks.size:
+        r = edges[-1]
+        corner = bisect.bisect_right(starts, starts[r] + _BLOCK_WIDTH // 8, r)
+        edges.append(min(r + max(_BLOCK_ELEMENTS // (n - starts[r]), 1), corner))
+    largest = max(((e - r) * (n - starts[r]) for r, e in zip(edges, edges[1:])), default=0)
+    accs = np.zeros((w, n), np.uint32)
     stop, errors, ran = threading.Event(), [], []
 
-    def rows(i):
+    def blocks(i):
+        bufsize = np.setbufsize(_UFUNC_BUFFER)  # this thread's own setting, restored below
         try:
-            acc, a = accs[i], np.empty(js.size, np.uint32)
-            b = a if gcd else np.empty(js.size, np.uint32)
-            for k, s in zip(ks[i::w], starts[i::w]):
+            # a and b in one allocation, since two would fault in afresh on every call; a gcd
+            # scan's one row is both
+            scratch = np.empty((1 if gcd else 2, largest), np.uint32)
+            acc, a, b = accs[i], scratch[0], scratch[-1]
+            sums = np.empty(min(n, _BLOCK_WIDTH), np.uint32)  # a block's column sums
+            for r, e in zip(edges[i::w], edges[i + 1 :: w]):
                 if stop.is_set():
                     return
-                acc_s = acc[s:]
-                np.add(acc_s, _divisor_tests(k, js[s:], js1[s:], a[s:], b[s:], variant), out=acc_s)
-                ran.append(s)
-        except BaseException as exc:  # the caller re-raises it, so no row is silently lost
+                s, t = starts[r], starts[e - 1]  # some j <= k in the columns [s, t), none past
+                if e - r == 1:  # a block of one row adds its row directly
+                    row = _divisor_tests(ks[r], js[s:], js1[s:], a[: n - s], b[: n - s], variant)
+                    np.add(acc[s:], row, out=acc[s:])
+                    ran.append(s)
+                    continue
+                k = col[r:e]
+                for u, v in ((s, t), (t, n)):
+                    if u < v:
+                        where = True if u == t else js[u:v] > k
+                        a2, b2 = (x[: k.size * (v - u)].reshape(k.size, -1) for x in (a, b))
+                        hit = _divisor_tests(k, js[u:v], js1[u:v], a2, b2, variant, where)
+                        np.add.reduce(hit, axis=0, where=where, out=sums[u - s : v - s])
+                np.add(acc[s:], sums[: n - s], out=acc[s:])
+                ran.extend(starts[r:e])
+        except BaseException as exc:  # the caller re-raises it, so no block is silently lost
             errors.append(exc)
             stop.set()
+        finally:
+            np.setbufsize(bufsize)
 
-    workers = [threading.Thread(target=rows, args=(i,)) for i in range(1, w)]
+    workers = [threading.Thread(target=blocks, args=(i,)) for i in range(1, w)]
     try:
         for worker in workers:
             worker.start()
-        rows(0)
+        blocks(0)
         for worker in workers:
             worker.join()
     finally:
-        stop.set()  # an early exit stops every worker before its next row
+        stop.set()  # an early exit stops every worker before its next block
         for worker in workers:
             if worker.is_alive():
                 worker.join()

@@ -286,15 +286,21 @@ def test_counted_step_divides_by_any_64_bit_x_plus_1(x):
 # ------------------------------------------------------ counted naive rescans
 
 
+def selected(a, where):
+    """The elements of the output `a` that a `_divisor_tests` call's `where` selects."""
+    return int(np.count_nonzero(np.broadcast_to(where, a.shape)))
+
+
 def one_scan_at_a_time(variant, scans):
     """(I(2..i), divisor tests) of each scan i, one `_scan_hits(2, i)` call each: the tests are
     the elements that `_divisor_tests` evaluated, counted as it evaluates them."""
     tested, reference = [], []
     divisor_tests = core._divisor_tests
 
-    def recording(ks, js, js1, a, *args):
-        tested[-1] += a.size
-        return divisor_tests(ks, js, js1, a, *args)
+    def recording(ks, js, js1, a, b, variant, where=True):
+        n = selected(a, where)  # counted before the +=, which another thread must not split
+        tested[-1] += n
+        return divisor_tests(ks, js, js1, a, b, variant, where)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_divisor_tests", recording)
@@ -434,22 +440,25 @@ def test_incremental_audit_rows_equal_one_row_at_a_time(variant, u_min, u_max):
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_each_counted_run_evaluates_exactly_its_closed_form_of_elements(monkeypatch, variant):
-    evaluated = []
+    evaluated, spans = [], []
     divisor_tests = core._divisor_tests
 
-    def recording(ks, js, js1, a, *args):
-        evaluated.append(a.size)
-        return divisor_tests(ks, js, js1, a, *args)
+    def recording(ks, js, js1, a, b, variant, where=True):
+        evaluated.append(selected(a, where))
+        spans.append((a.size, a.shape[0] if a.ndim == 2 else 1))  # (elements, rows) of one call
+        return divisor_tests(ks, js, js1, a, b, variant, where)
 
     monkeypatch.setattr(core, "_divisor_tests", recording)
     for u in (1, 2, 3, 4, 17, 100, 256, 257, 300):
         for mode, tests in ((EvalMode.NAIVE, comb(u, 3)), (EvalMode.INCREMENTAL, comb(u - 1, 2))):
             evaluated.clear()
+            spans.clear()
             run_counted(u, u, mode, variant)
             assert sum(evaluated) == tests
-            assert max(evaluated, default=0) <= comb(u - 1, 2)  # no call outgrows one scan of I(2..u)
-            if mode is EvalMode.NAIVE:
-                assert len(evaluated) == max(u - 2, 0)  # one k-major row per k = 2..u-1
+            # each call spans at most max(_BLOCK_ELEMENTS, one row) elements, and the widest
+            # row, k = 2, holds comb(u - 1, 2): one scan of I(2..u)
+            assert all(size <= core._BLOCK_ELEMENTS or rows == 1 and size <= comb(u - 1, 2)
+                       for size, rows in spans)
 
 
 def test_audit_rows_build_the_asdict_document():

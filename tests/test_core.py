@@ -219,22 +219,68 @@ def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers
     assert table[-1, 2:].tolist() == [int(n == 0) for n in expected]
 
 
+# k-major vectors: store fills (consecutive j's, from 2 and from past 2) and counted scans (each
+# j once per scan that reaches it: unsorted repeated ends, and a naive run at U = 40)
+BLOCK_EDGE_VECTORS = [
+    np.arange(2, 90, dtype=np.uint32),
+    np.arange(41, 120, dtype=np.uint32),
+    np.repeat(np.arange(2, 31, dtype=np.uint32), [sum(i >= j for i in (5, 1, 9, 9, 2, 30, 3))
+                                                  for j in range(2, 31)]),
+    np.repeat(np.arange(2, 41, dtype=np.uint32), np.arange(39, 0, -1)),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+@pytest.mark.parametrize("cap", [1, 2, 3, 7, 64, core._BLOCK_ELEMENTS])
+def test_k_major_blocks_evaluate_each_k_below_j_exactly_once(monkeypatch, cap, variant, workers):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", cap)  # blocks of one row up to whole scans
+    monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
+    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
+    divisor_tests, lock = core._divisor_tests, threading.Lock()
+    # blocked rows up to 8 wide with corners of 1 column, up to 40 with 5, and every row
+    for width, js in itertools.product((8, 40, core._BLOCK_WIDTH), BLOCK_EDGE_VECTORS):
+        monkeypatch.setattr(core, "_BLOCK_WIDTH", width)
+        evaluated = np.zeros((int(js[-1]), js.size), np.int64)  # [k, element] evaluations
+        blocks = []  # (rows, columns, masked) of each call on several rows
+
+        def recording(ks, cols, cols1, a, b, v, where=True, js=js, evaluated=evaluated):
+            first = (cols.ctypes.data - js.ctypes.data) // js.itemsize  # cols = js[first:]
+            chosen = np.broadcast_to(where, a.shape)
+            with lock:
+                np.add.at(evaluated, (np.broadcast_to(ks, a.shape)[chosen],
+                                      first + np.nonzero(chosen)[-1]), 1)
+                if a.ndim == 2:
+                    blocks.append((*a.shape, where is not True))
+            return divisor_tests(ks, cols, cols1, a, b, v, where)
+
+        monkeypatch.setattr(core, "_divisor_tests", recording)
+        hits, ran = core._k_major(js, variant)
+        for rows, columns, masked in blocks:  # a block's corner, or the columns past it
+            assert rows > 1 and rows * columns <= cap
+            assert columns <= (width // 8 if masked else width)
+        k = np.arange(evaluated.shape[0])[:, None]
+        assert evaluated.tolist() == ((2 <= k) & (k < js)).astype(np.int64).tolist()
+        assert hits.tolist() == [sum(1 for k in range(2, j) if j % k == 0) for j in js.tolist()]
+        assert sorted(ran) == np.searchsorted(js, np.arange(2, js[-1]), "right").tolist()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_gcd_scan_allocates_no_delta_arrays_and_keeps_every_hit(monkeypatch, workers):
     monkeypatch.setattr(core, "_WORKERS", workers)
     monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
     rows, divisor_tests = set(), core._divisor_tests
 
-    def recording(ks, js, js1, a, b, variant):
+    def recording(ks, js, js1, a, b, variant, where=True):
         rows.add((variant, np.shares_memory(js1, js), np.shares_memory(b, a)))
-        return divisor_tests(ks, js, js1, a, b, variant)
+        return divisor_tests(ks, js, js1, a, b, variant, where)
 
     monkeypatch.setattr(core, "_divisor_tests", recording)
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 301)]
     for variant in (GCD, DELTA):
         assert core._scan_hits(2, 300, variant).tolist() == expected
         assert core._k_major(scans(2, 300), variant)[0].tolist() == expected
-    # a gcd row reads js for js - 1 and a for b; a delta row has both of its own
+    # a gcd block reads js for js - 1 and a for b; a delta block has both of its own
     assert rows == {(GCD, True, True), (DELTA, False, False)}
 
 
@@ -245,10 +291,11 @@ class _RowFailed(Exception):
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 2)
     monkeypatch.setattr(core, "_SPLIT_TESTS", 0)
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 2 * 260)  # blocks of two of the 260-j rows
     tests = core._divisor_tests
 
     def failing(ks, *args):
-        if ks == 5:  # a k-major row k (no j-major rows here); worker 1 runs k = 3, 5, ...
+        if np.any(ks == 5):  # k-major blocks only here; worker 1 runs k = 4-5, 8-9, ...
             raise _RowFailed(threading.current_thread().name)
         return tests(ks, *args)
 
