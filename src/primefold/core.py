@@ -17,11 +17,11 @@ A wide slice (max(lo, 3) <= hi // 2) runs k-major (`_k_major`): one row per k
 with the j's as a uint32 vector, consecutive rows in blocks of at most
 _BLOCK_ELEMENTS elements, so each numpy call divides a block by one scalar per
 row.  A narrower one runs j-major: one row per j over k = 2, 3, ... in chunks
-of _CHUNK k's.  Any gcd k-major scan, counted or not, of at least _SPLIT_TESTS
-divisor tests deals its blocks out over the _WORKERS usable CPUs, since np.gcd
-waits on one hardware division per Euclid step with the GIL released.  Every
-other scan runs on the caller's thread: threads cost a smaller one more than
-they save, and a delta scan is bound by memory traffic, not by the GIL.
+of _BLOCK_ELEMENTS k's.  A gcd k-major scan, counted or not, deals its blocks
+out over up to _WORKERS usable CPUs, one block or more per thread, since np.gcd
+waits on one hardware division per Euclid step with the GIL released.  A scan
+of one block and every delta scan run on the caller's thread: a delta scan is
+bound by memory traffic, not by the GIL.
 Uncounted runs read a per-variant store, one int8 array I(0..n) with
 I(0) = I(1) = 0: `_fill(variant, m)` scans exactly the j in (n, m] and
 replaces the array, never writing one in place, so `prefix_count(i)` scans no
@@ -51,12 +51,10 @@ import numpy as np
 
 from .nat import DomainError, RangeError, as_nat, checked_add, checked_mul
 
-_CHUNK = 1 << 20  # k's per j-major row: bounds a single-j scan's memory
 MAX_DIVISOR_TESTS = 1_331_334_000  # closed_form_naive(2000)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # usable CPUs: the threads of a gcd k-major scan
-_SPLIT_TESTS = 1 << 18  # divisor tests from which a gcd k-major scan runs on _WORKERS threads
-_BLOCK_ELEMENTS = 1 << 17  # elements of a k-major block of several rows: bounds its scratch
+            else os.cpu_count() or 1)  # usable CPUs: most threads of a gcd k-major scan
+_BLOCK_ELEMENTS = 1 << 17  # scratch bound: a k-major block of several rows, a j-major chunk
 _BLOCK_WIDTH = 1 << 13  # widest row in a k-major block of several; its corner is 1/8 of this
 # numpy's ufunc buffer while a k-major scan runs, in elements.  A 2-D call whose rows hold at
 # most a third of the buffer copies rows of its k column into it and so divides element by
@@ -168,8 +166,8 @@ def _scan_hits(lo: int, hi: int, variant: IndicatorVariant):
         return _k_major(np.arange(lo, hi + 1, dtype=np.uint32), variant)[0]
     hits = np.zeros(max(hi - lo + 1, 0), np.int64)
     for j in range(max(lo, 3), hi + 1):  # j-major: one row per j, k chunked; admit keeps j < 2^31
-        for k0 in range(2, j, _CHUNK):
-            ks = np.arange(k0, min(j, k0 + _CHUNK), dtype=np.uint32)
+        for k0 in range(2, j, _BLOCK_ELEMENTS):
+            ks = np.arange(k0, min(j, k0 + _BLOCK_ELEMENTS), dtype=np.uint32)
             a, b = np.empty((2, ks.size), np.uint32)
             hits[j - lo] += int(_divisor_tests(ks, j, j - 1, a, b, variant).sum())
     return hits
@@ -188,7 +186,7 @@ def _k_major(js, variant: IndicatorVariant):
     less than its elements; narrower rows form blocks of at most _BLOCK_ELEMENTS elements
     whose corner spans at most _BLOCK_WIDTH / 8 columns, past which its masked elements cost
     more than the calls it saves (a counted scan repeats each j once per scan).
-    A gcd scan of at least _SPLIT_TESTS tests runs on w = _WORKERS threads, any other on w = 1.
+    A gcd scan runs on w = min(_WORKERS, blocks) threads, a delta scan on w = 1.
     Worker i adds blocks i, i+w, ... into its own accumulator (worker 0 is the caller's
     thread, which sums them) and appends each block's row starts to `ran` once it has run.
     An error or interrupt in a worker stops all workers before their next block and reaches
@@ -198,9 +196,7 @@ def _k_major(js, variant: IndicatorVariant):
     ks = np.arange(2, int(js[-1]) if n else 2, dtype=np.uint32)  # a Python int k costs a cast
     col = ks[:, None]  # the k's as a column, against which a block's j's broadcast
     starts = np.searchsorted(js, ks, "right").tolist()  # row k's first element
-    tests = n * ks.size - sum(starts)  # row k tests the elements [start, n)
     gcd = variant is IndicatorVariant.GCD
-    w = _WORKERS if gcd and tests >= _SPLIT_TESTS else 1
     js1 = js if gcd else js - 1  # only the delta test reads js - 1 and the scratch b
     # block r runs the rows [edges[r], edges[r + 1]): each row wider than _BLOCK_WIDTH alone,
     # then as many narrower rows as _BLOCK_ELEMENTS holds that start within a corner's width
@@ -209,6 +205,7 @@ def _k_major(js, variant: IndicatorVariant):
         r = edges[-1]
         corner = bisect.bisect_right(starts, starts[r] + _BLOCK_WIDTH // 8, r)
         edges.append(min(r + max(_BLOCK_ELEMENTS // (n - starts[r]), 1), corner))
+    w = min(_WORKERS if gcd else 1, max(len(edges) - 1, 1))  # a scan of no rows has no blocks
     largest = max(((e - r) * (n - starts[r]) for r, e in zip(edges, edges[1:])), default=0)
     accs = np.zeros((w, n), np.uint32)
     stop, errors, ran = threading.Event(), [], []

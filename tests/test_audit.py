@@ -335,7 +335,7 @@ UNSORTED = [5, 1, 9, 9, 2, 30, 3]
 def test_counted_scans_of_unsorted_ends_equal_one_scan_at_a_time(monkeypatch, variant, workers):
     reference = one_scan_at_a_time(variant, UNSORTED)
     monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 8)  # every gcd scan splits
     table, tests, floors = core._counted_scans(np.array(UNSORTED, np.uint32), variant)
     for row, i, (ind, _) in zip(table, UNSORTED, reference):
         assert row.tolist() == [0, 0, *ind, *[0] * (max(UNSORTED) - i)]
@@ -388,7 +388,7 @@ def test_batched_naive_runs_equal_one_run_each(monkeypatch, variant, workers):
     xs = [build_sieve(64).pi(u) for u in us]
     reference = one_naive_run_at_a_time(variant, us, xs)
     monkeypatch.setattr(core, "_WORKERS", workers)
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd batch splits
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)  # a block a row: batches from U = 4 split
     batches, counted_scans = [], audit._counted_scans
 
     def recording(ends, v):

@@ -22,7 +22,6 @@ from primefold import (
     IndicatorVariant,
     RangeError,
     audit,
-    closed_form_naive,
     core,
     delta,
     divisor_hit,
@@ -183,7 +182,7 @@ def test_counted_indicator_tallies_sites():
 
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
-    monkeypatch.setattr(core, "_CHUNK", 7)  # most j-major rows now span several chunks
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 7)  # most j-major rows now span several chunks
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 300)]
     for lo in (2, 3, 17, 40, 41, 148, 149, 150, 151):  # k-major up to lo = 299 // 2, j-major past it
         assert core._scan_hits(lo, 299, variant).tolist() == expected[lo - 2 :]
@@ -197,6 +196,25 @@ def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
             ]
 
 
+@pytest.mark.parametrize("variant", [GCD, DELTA])
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_a_single_j_scan_runs_each_k_once_in_chunks_of_the_block_bound(monkeypatch, cap, variant):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", cap)
+    chunks, divisor_tests = [], core._divisor_tests
+
+    def recording(ks, *args):
+        chunks.append(ks.tolist())
+        return divisor_tests(ks, *args)
+
+    monkeypatch.setattr(core, "_divisor_tests", recording)
+    for j in (2, 3, 4, 97, 100, 1000):  # j-major: one row of k = 2..j-1
+        chunks.clear()
+        hits = core._scan_hits(j, j, variant).tolist()
+        assert hits == [sum(1 for k in range(2, j) if j % k == 0)]
+        assert [k for ks in chunks for k in ks] == list(range(2, j))
+        assert all(len(ks) <= cap for ks in chunks)
+
+
 def test_worker_count_is_the_usable_cpu_count():
     assert core._WORKERS == len(os.sched_getaffinity(0))
 
@@ -205,7 +223,7 @@ def test_worker_count_is_the_usable_cpu_count():
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers):
     monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits, the counted one too
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 64)  # every gcd scan splits, the counted one too
     expected = [sum(1 for k in range(2, j) if j % k == 0) for j in range(2, 302)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often enough to expose a lost update
@@ -236,7 +254,6 @@ BLOCK_EDGE_VECTORS = [
 def test_k_major_blocks_evaluate_each_k_below_j_exactly_once(monkeypatch, cap, variant, workers):
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", cap)  # blocks of one row up to whole scans
     monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
     divisor_tests, lock = core._divisor_tests, threading.Lock()
     # blocked rows up to 8 wide with corners of 1 column, up to 40 with 5, and every row
     for width, js in itertools.product((8, 40, core._BLOCK_WIDTH), BLOCK_EDGE_VECTORS):
@@ -268,7 +285,7 @@ def test_k_major_blocks_evaluate_each_k_below_j_exactly_once(monkeypatch, cap, v
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_gcd_scan_allocates_no_delta_arrays_and_keeps_every_hit(monkeypatch, workers):
     monkeypatch.setattr(core, "_WORKERS", workers)
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # every gcd scan splits
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1024)  # every gcd scan splits
     rows, divisor_tests = set(), core._divisor_tests
 
     def recording(ks, js, js1, a, b, variant, where=True):
@@ -290,7 +307,6 @@ class _RowFailed(Exception):
 
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 2)
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 2 * 260)  # blocks of two of the 260-j rows
     tests = core._divisor_tests
 
@@ -319,28 +335,38 @@ def record_thread_starts(monkeypatch):
     return started
 
 
-def test_a_scan_splits_by_its_variant_and_its_own_test_count(monkeypatch):
+def test_a_gcd_scan_splits_over_its_blocks_and_a_delta_scan_never(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 3)
     started = record_thread_starts(monkeypatch)
-    uncounted = sum(j - 2 for j in range(41, 301))  # _scan_hits(41, 300): k = 2..j-1 per j
+    firsts, divisor_tests = set(), core._divisor_tests
+
+    def recording(ks, *args):  # every call of a block starts at the block's first k
+        firsts.add(int(np.ravel(ks)[0]))
+        return divisor_tests(ks, *args)
+
+    monkeypatch.setattr(core, "_divisor_tests", recording)
     naive = np.repeat(np.arange(2, 61, dtype=np.uint32), np.arange(59, 0, -1))  # U = 60's scans
-    for tests, scan in ((uncounted, lambda v: core._scan_hits(41, 300, v)),
-                        (closed_form_naive(60), lambda v: core._counted_scans(scans(1, 60), v)),
-                        (closed_form_naive(60), lambda v: core._k_major(naive, v))):
-        for threshold, threads in ((tests + 1, 0), (tests, 2), (0, 2)):  # one test below, at, over
-            monkeypatch.setattr(core, "_SPLIT_TESTS", threshold)
-            started.clear()
-            scan(GCD)
-            assert len(started) == threads
-            scan(DELTA)
-            assert len(started) == threads  # a delta scan never starts a thread
+    blocks = set()
+    for scan in (lambda v: core._scan_hits(41, 300, v),
+                 lambda v: core._counted_scans(scans(1, 60), v),
+                 lambda v: core._k_major(naive, v)):
+        for cap in (1, 2**15, core._BLOCK_ELEMENTS):  # a block per row, two blocks, the default
+            monkeypatch.setattr(core, "_BLOCK_ELEMENTS", cap)
+            for variant in (GCD, DELTA):
+                firsts.clear()
+                started.clear()
+                scan(variant)
+                assert len(started) == (min(3, len(firsts)) - 1 if variant is GCD else 0)
+                blocks.add(min(len(firsts), 3))
+    assert blocks == {1, 2, 3}  # one block, fewer blocks than workers, and more
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)
     _, ran = core._k_major(naive, GCD)  # split over 3 threads: every thread's rows come back
     assert sorted(ran) == np.searchsorted(naive, np.arange(2, 60), "right").tolist()
 
 
 def test_a_split_counted_run_at_u_2_keeps_its_tallies(monkeypatch):
     unsplit = [run_counted(x, 2, EvalMode.NAIVE, GCD) for x in (0, 1, 5)]
-    monkeypatch.setattr(core, "_SPLIT_TESTS", 0)  # U = 2 passes one element and no row
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)  # U = 2 passes one element, no row, no block
     monkeypatch.setattr(core, "_WORKERS", 3)
     table, tests, floors = core._counted_scans(scans(1, 2), GCD)
     assert table.tolist() == [[0, 0, 0], [0, 0, 1]]  # I(2) = 1 // (1 + 0)
