@@ -3,13 +3,15 @@
 Counted runs re-evaluate the folded expression with no shortcut and no
 store.  A naive run at U evaluates the scans I(2..i) of i = 1..U, an
 incremental one the scan of i = U.  Consecutive runs of one audit, naive or
-incremental, pool their scans into one k-major scan (`core._counted_scans`)
-by the kernel that fills the store, up to _BATCH elements; runs never share
-a scan.  Each scan's divisor tests are tallied per j from the rows the kernel
-returns as run, and its floors from the elements floored.  A run's tallies
-and `AuditRow`'s closed-form prediction both come from `core.OpCounts.of`,
-which holds the tally conventions; `AuditRow.match` requires all six.
-`core.admit` checks the tests summed over a run's rows before the first scan.
+incremental, pool their scans into one `_counted_scans` call, a k-major scan
+by the kernel that fills the store, while their scans hold at most
+`core._BLOCK_ELEMENTS` elements together: the kernel's one size bound also
+sizes every counted scan.  Runs never share a scan.  Each scan's divisor
+tests are tallied per j from the rows the kernel returns as run, and its
+floors from the elements floored.  A run's tallies and `AuditRow`'s
+closed-form prediction both come from `OpCounts.of`, which holds the tally
+conventions; `AuditRow.match` requires all six.  `core.admit` checks the
+tests summed over a run's rows before the first scan.
 """
 
 from __future__ import annotations
@@ -19,15 +21,51 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import IndicatorVariant, OpCounts, _counted_scans, _fold, admit
+from . import core  # the kernel and its size bound, looked up at each call
+from .core import IndicatorVariant, _fold, admit
 from .core import closed_form_incremental, closed_form_naive  # also exported from here
 from .enumerator import EvalMode
 from .nat import DomainError, as_nat
 from .oracle import build_sieve
 
-# Elements of the k-major scan that consecutive counted runs share.  About 24 bytes each at
-# the peak: 2^16 adds 0.6 MB to `audit --u-max 81`, and a larger cap saves little time.
-_BATCH = 1 << 16
+
+class OpCounts(NamedTuple):
+    """The tallies of one counted run at U, measured or predicted: `of` builds both.
+
+    A gcd divisor test is one gcd call and one floor, a gcd-free one a delta evaluation and
+    two floors, and a step two floors.  The additions are the fold's own + sites (each I's
+    1+sum, the S updates, each step's x+1 and 1+q, the outer sum and its final 1+sum); the
+    sum over k inside a scan belongs to the divisor tests.  Every k-range reaches j-1 and
+    the i-loop reaches the forced limit U, so a run at U predicts:
+
+        divisor tests:     (U-2)(U-1)U / 6 naive,  (U-2)(U-1) / 2 incremental
+        additions:         (U+1)^2 naive,          5U incremental
+        indicator floors:  U(U-1) / 2 naive,       U - 1 incremental
+        step floors:       2U; inner-test floors: the tests (gcd), 2x them (delta)
+    """
+
+    gcd_calls: int = 0
+    delta_calls: int = 0
+    inner_test_floors: int = 0
+    indicator_floors: int = 0
+    step_floors: int = 0
+    additions: int = 0
+
+    @classmethod
+    def of(cls, variant: IndicatorVariant, tests: int, indicator_floors: int, additions: int,
+           u: int) -> "OpCounts":
+        """The tallies of a run at U = `u` whose `tests` divisor tests were of `variant`."""
+        gcd = variant is IndicatorVariant.GCD
+        return cls(gcd_calls=tests if gcd else 0, delta_calls=0 if gcd else tests,
+                   inner_test_floors=tests if gcd else 2 * tests,
+                   indicator_floors=indicator_floors, step_floors=2 * u, additions=additions)
+
+    @property
+    def divisor_tests(self) -> int:
+        return self.gcd_calls + self.delta_calls
+
+    def to_dict(self) -> dict:
+        return self._asdict()  # the six tallies, in field order
 
 
 class AuditRow(NamedTuple):
@@ -71,13 +109,33 @@ def _counted_fold(x: int, prefixes, variant: IndicatorVariant, tests: int, floor
                               steps.size)
 
 
+def _counted_scans(ends, variant: IndicatorVariant):
+    """The scans I(2..i) of each i >= 1 in the uint32 array `ends`, as one counted k-major scan.
+
+    Its vector holds each j = 2..max(ends) once per scan that reaches it, j-major, so row k
+    tests each scan's own (k, j) pairs; no row reaches j = 2, so I(2) = 1 // (1 + 0).
+    Returns the I's as a table (row r for ends[r], column j, 0 past i) and, per scan, its
+    divisor tests and indicator floors.  A row that ran from start s tests the elements
+    [s, N): every element of each j >= js[s], so a scan's tests are the rows that ran summed
+    over its j's, and its floors are the elements floored.
+    """
+    j = np.arange(int(ends.max()) + 1, dtype=np.uint32)[:, None]
+    holds = (j >= 2) & (j <= ends)  # [j, scan]
+    js = np.broadcast_to(j, holds.shape)[holds]  # j-major: ascending
+    hits, ran = core._k_major(js, variant)
+    ind = np.zeros(holds.shape, np.uint8)
+    ind[holds] = np.floor_divide(1, np.add(hits, 1, out=hits), out=hits)
+    rows = np.cumsum(np.bincount(js[np.array(ran, np.intp)], minlength=j.size))  # per j
+    return ind.T, np.cumsum(rows)[ends], holds.sum(axis=0)  # tests: rows summed over j <= i
+
+
 def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,
                   variant: IndicatorVariant) -> list:
     """(value, tallies) of the counted run at each U = u_min..u_max, x = xs[U - u_min].
 
     Run U evaluates the scans I(2..i) of i = 1..U naive and of i = U incremental.  Consecutive
-    runs share one `_counted_scans` call while their scans hold at most _BATCH elements
-    together (a run over it alone is a call of its own); runs never share a scan.
+    runs share one `_counted_scans` call while their scans hold at most core._BLOCK_ELEMENTS
+    elements together (a run over it alone is a call of its own); runs never share a scan.
     """
     naive = mode is EvalMode.NAIVE
     ends = [np.arange(1 if naive else u, u + 1, dtype=np.uint32) for u in range(u_min, u_max + 1)]
@@ -85,7 +143,7 @@ def _counted_runs(xs: Sequence[int], u_min: int, u_max: int, mode: EvalMode,
     runs, start = [], 0
     while start < len(ends):
         stop, held = start + 1, sizes[start]
-        while stop < len(ends) and held + sizes[stop] <= _BATCH:
+        while stop < len(ends) and held + sizes[stop] <= core._BLOCK_ELEMENTS:
             held, stop = held + sizes[stop], stop + 1
         ind, tests, floors = _counted_scans(np.concatenate(ends[start:stop]), variant)
         first = 0

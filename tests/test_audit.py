@@ -318,7 +318,7 @@ SPREAD = [*range(1, 65), 100, 150, 200, 255, 256, 257, 260, 300]
 def test_batched_rescans_equal_one_scan_per_rescan(variant):
     reference = one_scan_at_a_time(variant, range(1, max(SPREAD) + 1))
     for u in SPREAD:  # a naive run at U evaluates the scans i = 1..U
-        table, tests, floors = core._counted_scans(np.arange(1, u + 1, dtype=np.uint32), variant)
+        table, tests, floors = audit._counted_scans(np.arange(1, u + 1, dtype=np.uint32), variant)
         assert table.shape == (u, u + 1)
         for i, (ind, _) in enumerate(reference[:u], 1):
             assert table[i - 1].tolist() == [0, 0, *ind, *[0] * (u - i)]
@@ -336,7 +336,7 @@ def test_counted_scans_of_unsorted_ends_equal_one_scan_at_a_time(monkeypatch, va
     reference = one_scan_at_a_time(variant, UNSORTED)
     monkeypatch.setattr(core, "_WORKERS", workers)  # 3 is more threads than this host may have
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 8)  # every gcd scan splits
-    table, tests, floors = core._counted_scans(np.array(UNSORTED, np.uint32), variant)
+    table, tests, floors = audit._counted_scans(np.array(UNSORTED, np.uint32), variant)
     for row, i, (ind, _) in zip(table, UNSORTED, reference):
         assert row.tolist() == [0, 0, *ind, *[0] * (max(UNSORTED) - i)]
     assert tests.tolist() == [tested for _, tested in reference]
@@ -347,7 +347,7 @@ def test_counted_scans_of_unsorted_ends_equal_one_scan_at_a_time(monkeypatch, va
 @pytest.mark.parametrize("variant", [GCD, DELTA])
 def test_counted_tests_come_from_the_rows_that_ran(monkeypatch, variant, ends):
     ends = np.array(ends, np.uint32)
-    table, tests, floors = core._counted_scans(ends, variant)
+    table, tests, floors = audit._counted_scans(ends, variant)
     k_major = core._k_major
     for k in (2, 3, 17, int(ends.max()) - 1):
 
@@ -357,7 +357,7 @@ def test_counted_tests_come_from_the_rows_that_ran(monkeypatch, variant, ends):
             return hits, ran
 
         monkeypatch.setattr(core, "_k_major", dropping)
-        dropped = core._counted_scans(ends, variant)
+        dropped = audit._counted_scans(ends, variant)
         assert dropped[0].tolist() == table.tolist()  # the I's still hold row k's hits
         fewer = [max(i - k, 0) for i in ends.tolist()]  # in scan i, row k tests the j in (k, i]
         assert dropped[1].tolist() == [t - f for t, f in zip(tests.tolist(), fewer)]
@@ -388,7 +388,6 @@ def test_batched_naive_runs_equal_one_run_each(monkeypatch, variant, workers):
     xs = [build_sieve(64).pi(u) for u in us]
     reference = one_naive_run_at_a_time(variant, us, xs)
     monkeypatch.setattr(core, "_WORKERS", workers)
-    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)  # a block a row: batches from U = 4 split
     batches, counted_scans = [], audit._counted_scans
 
     def recording(ends, v):
@@ -397,8 +396,10 @@ def test_batched_naive_runs_equal_one_run_each(monkeypatch, variant, workers):
 
     monkeypatch.setattr(audit, "_counted_scans", recording)
     runs_per_batch = set()
-    for cap in (0, 4000, comb(65, 3)):  # one run a batch; 27, ..., 2 and 1; all 63 runs in one
-        monkeypatch.setattr(audit, "_BATCH", cap)
+    # one run a batch; 27, ..., 2 and 1; all 63 runs in one.  The cap also bounds the kernel's
+    # blocks and j-major chunks, so 1 (not 0) is the least: a block a row, split from U = 4
+    for cap in (1, 4000, comb(65, 3)):
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", cap)
         batches.clear()
         assert audit._counted_runs(xs, 2, 64, EvalMode.NAIVE, variant) == reference
         assert [i for ends in batches for i in ends] == [i for u in us for i in range(1, u + 1)]

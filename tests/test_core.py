@@ -138,7 +138,7 @@ def test_indicator_variants_agree_and_match_oracle(j):
 
 
 def scans(lo, hi):
-    """The ends of the scans I(2..i), i = lo..hi, as `core._counted_scans` takes them."""
+    """The ends of the scans I(2..i), i = lo..hi, as `audit._counted_scans` takes them."""
     return np.arange(lo, hi + 1, dtype=np.uint32)
 
 
@@ -146,7 +146,7 @@ def scans(lo, hi):
        st.sampled_from([GCD, DELTA]))
 def test_counted_path_matches_cached_value(j, variant):
     cached = indicator(j, variant)
-    table, _, _ = core._counted_scans(scans(j, j), variant)  # the one scan I(2..j)
+    table, _, _ = audit._counted_scans(scans(j, j), variant)  # the one scan I(2..j)
     assert table[0, j] == cached
     assert table[0, :2].tolist() == [0, 0]
 
@@ -158,7 +158,7 @@ def trial_tests(i):
 
 def test_counted_indicator_tallies_sites():
     for variant in (GCD, DELTA):
-        table, tests, floors = core._counted_scans(scans(9, 9), variant)
+        table, tests, floors = audit._counted_scans(scans(9, 9), variant)
         assert table.tolist() == [[0, 0, 1, 1, 0, 1, 0, 1, 0, 0]]  # I(2..9)
         assert tests.tolist() == [trial_tests(9)] == [28]
         assert floors.tolist() == [8]  # one floor per j = 2..9, I(2) = 1 // (1 + 0) included
@@ -168,7 +168,7 @@ def test_counted_indicator_tallies_sites():
         assert counts.inner_test_floors == (28 if variant is GCD else 56)  # two floors per delta
         assert counts.indicator_floors == 8
         assert counts.additions == 8 + 9 + 18 + 10  # 1 + sums, S updates, steps', outer sum
-        _, tests, floors = core._counted_scans(scans(1, 9), variant)  # a naive run's I(2..i)
+        _, tests, floors = audit._counted_scans(scans(1, 9), variant)  # a naive run's I(2..i)
         assert tests.tolist() == [trial_tests(i) for i in range(1, 10)] and sum(tests) == 84
         assert floors.tolist() == list(range(9)) and sum(floors) == 36
         _, counts = run_counted(4, 9, EvalMode.NAIVE, variant)
@@ -187,7 +187,7 @@ def test_chunked_k_scan_counts_every_divisor(monkeypatch, variant):
     for lo in (2, 3, 17, 40, 41, 148, 149, 150, 151):  # k-major up to lo = 299 // 2, j-major past it
         assert core._scan_hits(lo, 299, variant).tolist() == expected[lo - 2 :]
     for lo in (2, 148, 151):  # counted scans I(2..i), i = lo..299, run k-major at any lo
-        table, tests, floors = core._counted_scans(scans(lo, 299), variant)
+        table, tests, floors = audit._counted_scans(scans(lo, 299), variant)
         assert tests.tolist() == [trial_tests(i) for i in range(lo, 300)]
         assert floors.tolist() == [i - 1 for i in range(lo, 300)]
         for i in (lo, 299):
@@ -230,7 +230,7 @@ def test_split_k_major_scan_matches_trial_division(monkeypatch, variant, workers
     try:
         for lo, hi in ((2, 300), (41, 300), (41, 301), (100, 299), (150, 301)):  # 296-299 rows
             assert core._scan_hits(lo, hi, variant).tolist() == expected[lo - 2 : hi - 1]
-        table, tests, _ = core._counted_scans(scans(41, 301), variant)  # under the same workers
+        table, tests, _ = audit._counted_scans(scans(41, 301), variant)  # under the same workers
     finally:
         sys.setswitchinterval(interval)
     assert tests.tolist() == [trial_tests(i) for i in range(41, 302)]
@@ -348,7 +348,7 @@ def test_a_gcd_scan_splits_over_its_blocks_and_a_delta_scan_never(monkeypatch):
     naive = np.repeat(np.arange(2, 61, dtype=np.uint32), np.arange(59, 0, -1))  # U = 60's scans
     blocks = set()
     for scan in (lambda v: core._scan_hits(41, 300, v),
-                 lambda v: core._counted_scans(scans(1, 60), v),
+                 lambda v: audit._counted_scans(scans(1, 60), v),
                  lambda v: core._k_major(naive, v)):
         for cap in (1, 2**15, core._BLOCK_ELEMENTS):  # a block per row, two blocks, the default
             monkeypatch.setattr(core, "_BLOCK_ELEMENTS", cap)
@@ -368,7 +368,7 @@ def test_a_split_counted_run_at_u_2_keeps_its_tallies(monkeypatch):
     unsplit = [run_counted(x, 2, EvalMode.NAIVE, GCD) for x in (0, 1, 5)]
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)  # U = 2 passes one element, no row, no block
     monkeypatch.setattr(core, "_WORKERS", 3)
-    table, tests, floors = core._counted_scans(scans(1, 2), GCD)
+    table, tests, floors = audit._counted_scans(scans(1, 2), GCD)
     assert table.tolist() == [[0, 0, 0], [0, 0, 1]]  # I(2) = 1 // (1 + 0)
     assert tests.tolist() == [trial_tests(1), trial_tests(2)] == [0, 0]
     assert floors.tolist() == [0, 1]

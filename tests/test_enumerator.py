@@ -28,6 +28,7 @@ from primefold import (
     schedule_limit,
     step,
     trace,
+    u_lin,
 )
 from primefold.schedules import p_lower
 
@@ -163,6 +164,20 @@ def test_evaluate_grows_the_store_to_exactly_the_flip(big_sieve, variant, x, m):
         prefix_count(m, variant)
         assert evaluate(x, variant=variant) == p
         assert core._STORES[variant].size - 1 == max(m, p)
+
+
+def test_the_delta_store_and_a_naive_delta_evaluate_are_exact_at_the_budget_edge(big_sieve):
+    # x = 4853 is the largest x the budget admits, and trace(4853) fills the store to its limit
+    # u_lin(4853): from cold, one k-major scan of 1.33e9 divisor tests
+    x, limit, delta = 4853, u_lin(4853), IndicatorVariant.DELTA
+    assert limit == 51_592
+    with pytest.raises(RangeError):
+        evaluate(x + 1, variant=delta)
+    core._reset_stores()
+    expected = np.zeros(limit + 1, np.int8)
+    expected[big_sieve.first(big_sieve.pi(limit))] = 1
+    assert np.array_equal(core._fill(delta, limit), expected)  # every j, from one cold scan
+    assert evaluate(x, mode=EvalMode.NAIVE, variant=delta) == big_sieve.nth_prime(x + 1) == 47_051
 
 
 @pytest.mark.parametrize("mode", MODES)
