@@ -201,8 +201,8 @@ def audit_range(
 ) -> Tuple[AuditRow, ...]:
     """Audit every U in [u_min, u_max] under the given modes.
 
-    x is pinned to pi(U) so the step never flips inside [1, U] and the
-    closed forms apply to full loops.
+    x is pinned to pi(U), so every step over i in [1, U] is 1 and each run's
+    value is U + 1.
     """
     u_min, u_max = admit_audit(u_min, u_max, modes)
     table = build_sieve(u_max)

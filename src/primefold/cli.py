@@ -91,12 +91,11 @@ def _cmd_nth_prime(args) -> _Result:
 
 
 def _cmd_table(args) -> _Result:
-    evaluate(args.max)  # admits the largest row first; the rows then read its store
+    # largest x first: it admits the table and fills the one store that every row reads
+    values = [evaluate(x) for x in range(args.max, -1, -1)][::-1]
     table = sieve_for_nth(args.max + 1)
-    rows = []
-    for x in range(args.max + 1):
-        value, expected = evaluate(x), table.nth_prime(x + 1)
-        rows.append([x, value, expected, value == expected])
+    expected = [table.nth_prime(x + 1) for x in range(args.max + 1)]
+    rows = [[x, v, e, v == e] for x, (v, e) in enumerate(zip(values, expected))]
     lines = ["    x   f(x)  p_(x+1)  agree"]
     lines += [f"{x:5d}  {v:5d}  {e:7d}  {'yes' if agree else 'NO'}" for x, v, e, agree in rows]
     return {"rows": rows}, all(row[3] for row in rows), "\n".join(lines)
@@ -149,9 +148,11 @@ def _cmd_verify(args) -> _Result:
     if n < DIVERGENCE_X_MIN:  # every input is checked before any report or scan runs
         raise DomainError(f"verify requires --max >= {DIVERGENCE_X_MIN}, got {n}")
     admit_audit(2, args.audit_max)
-    sieve_limit_for_nth(max(n, sweep) + 1)  # an over-limit sieve exits 3 before the sweeps
-    for variant in IndicatorVariant:  # admits the sweeps, then runs them
-        evaluate(sweep, variant=variant)
+    sieve_limit_for_nth(max(n, sweep) + 1)  # an over-limit sieve exits 3 before the sweep
+    runs = [(x, schedule, variant) for x in range(sweep + 1)
+            for schedule in (Schedule.SQUARE, Schedule.LINLOG) for variant in IndicatorVariant]
+    # largest x first, which admits the sweep and fills each variant's store for every smaller x
+    values = {(x, s, v): evaluate(x, schedule=s, variant=v) for x, s, v in reversed(runs)}
     table = sieve_for_nth(max(n, sweep) + 1)
     reports = [
         *_validate_reports(n, table),
@@ -159,16 +160,10 @@ def _cmd_verify(args) -> _Result:
         *_compare_reports(n, table),
     ]
     audit_rows = audit_range(2, args.audit_max)
-    mismatches = [
-        (x, float(value), float(expected))
-        for x in range(sweep + 1)
-        for schedule in (Schedule.SQUARE, Schedule.LINLOG)
-        for variant in IndicatorVariant
-        if (value := evaluate(x, schedule=schedule, variant=variant))
-        != (expected := table.nth_prime(x + 1))
-    ]
-    # P* = f(L), warm from the mismatch sweep; a lift that fails is a row below, not an exit
-    lifts = [(l, evaluate(l)) for l in range(2, sweep + 1)]
+    mismatches = [(x, float(values[x, s, v]), float(expected)) for x, s, v in runs
+                  if values[x, s, v] != (expected := table.nth_prime(x + 1))]
+    # P* = f(L), the (lin, gcd) value; a lift that fails is a row below, not an exit
+    lifts = [(l, values[l, Schedule.LINLOG, IndicatorVariant.GCD]) for l in range(2, sweep + 1)]
     reports += [
         BoundsReport("enumerator-matches-sieve", (0, sweep), tuple(mismatches)),
         BoundsReport(

@@ -149,6 +149,18 @@ def test_forward_count_axiom_fills_a_cold_store_in_one_wide_scan(monkeypatch, sm
     assert calls == [(2, 1414)]
 
 
+def test_forward_count_axiom_traces_its_largest_x_first(monkeypatch, small_sieve):
+    real, xs = analysis.trace, []
+
+    def recording(x, schedule):
+        xs.append(x)
+        return real(x, schedule)
+
+    monkeypatch.setattr(analysis, "trace", recording)
+    assert check_forward_count_axiom(200, small_sieve).passed
+    assert xs == list(range(200, -1, -1))
+
+
 def test_minimality_and_the_axiom_reject_a_short_table_before_any_scan(monkeypatch):
     calls = record_scans(monkeypatch)
     core._reset_stores()

@@ -295,6 +295,26 @@ def test_verify_violation_exits_1(monkeypatch, capsys):
     assert failed == ["enumerator-matches-sieve", "record-lift-exceeds-input"]
 
 
+@pytest.mark.parametrize("argv,calls,first", [
+    (VERIFY_SMALL, 21 * 4, 20),  # x = 0..20, both schedules, both variants
+    (("table", "--max", "19"), 20, 19),
+])
+def test_sweeps_over_x_evaluate_each_x_once_from_the_largest(monkeypatch, capsys, argv, calls,
+                                                             first):
+    # the largest x admits the sweep and fills the store; verify's record lifts reuse its values
+    import primefold.cli as cli
+
+    real, xs = cli.evaluate, []
+
+    def recording(x, **kwargs):
+        xs.append(x)
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert (len(xs), xs[0]) == (calls, first)
+
+
 def test_verify_reports_a_failed_record_lift_as_a_row(monkeypatch, capsys):
     # a wrong f(3) = 9 is neither prime nor lifted past a sieve check: the document still prints
     import primefold.cli as cli
